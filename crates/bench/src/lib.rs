@@ -19,7 +19,6 @@
 //! | design ablations (§2.1/§4/§6) | [`experiments::ablation`] | `ablation` |
 
 pub mod experiments;
-pub mod perf;
 pub mod report;
 pub mod worlds;
 

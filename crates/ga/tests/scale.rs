@@ -20,6 +20,14 @@ const TASKS: usize = 1024;
 const ROWS: usize = 128;
 const COLS: usize = 128;
 
+/// `VmHWM` of this process in MB (`None` off Linux).
+fn vm_hwm_mb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024)
+}
+
 fn col_major(patch: &Patch, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
     let mut out = Vec::with_capacity(patch.elems());
     for j in patch.lo.1..=patch.hi.1 {
@@ -57,4 +65,11 @@ fn thousand_node_ga_workload_completes_pooled() {
         assert_eq!(a.get(corner), vec![next as f64]);
         ga.sync();
     });
+    // Printed, not asserted: the peak here is GA's pool buffers (4 MiB per
+    // node, and as much again in flight), which an absolute bound would tie
+    // to one allocator and runner. Ring memory is guarded where it shows:
+    // the slot-count tests in `spsim::spsc` and `ring_n256`'s `peak_rss_mb`.
+    if let Some(mb) = vm_hwm_mb() {
+        println!("VmHWM at exit: {mb} MB");
+    }
 }

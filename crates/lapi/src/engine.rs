@@ -532,8 +532,7 @@ impl Engine {
             Err(e) => {
                 let err = self.delivery_error(e);
                 self.retract_pending(target, pending);
-                self.outstanding_decr(target);
-                self.declare_peer_dead(target, &err);
+                self.fail_tracked_op(target, &err);
                 Err(err)
             }
         }
@@ -603,8 +602,7 @@ impl Engine {
             Err(e) => {
                 let err = self.delivery_error(e);
                 self.retract_pending(target, pending);
-                self.outstanding_decr(target);
-                self.declare_peer_dead(target, &err);
+                self.fail_tracked_op(target, &err);
                 Err(err)
             }
         }
@@ -735,6 +733,21 @@ impl Engine {
             drop(o);
         }
         self.outstanding_cv.notify_all();
+    }
+
+    /// Unwind the fence accounting of a tracked op whose send to `target`
+    /// failed, and latch the peer dead. The latch goes first: it zeroes the
+    /// slot — this op's count included — after raising the dead flag, so
+    /// the `Done` or reply of a send that timed out with only its ACKs lost
+    /// (the data did arrive) is harmless on either side of this call:
+    /// before it, it retires the op's own count; after it, it finds a dead
+    /// peer (never a zero count for a peer still marked alive). Only a send
+    /// refused because the peer was already dead was tracked after the
+    /// zeroing and still has a count to give back.
+    fn fail_tracked_op(&self, target: NodeId, err: &LapiError) {
+        if !self.declare_peer_dead(target, err) {
+            self.outstanding_decr(target);
+        }
     }
 
     /// Record that a future inbound packet from `target` would bump local
@@ -1155,8 +1168,7 @@ impl Engine {
             // death declaration so its poison sweep does not also cancel
             // this op — the caller gets the error synchronously.
             self.rmw_slots.lock().remove(&ticket);
-            self.outstanding_decr(target);
-            self.declare_peer_dead(target, &err);
+            self.fail_tracked_op(target, &err);
             return Err(err);
         }
         Ok(RmwFuture {

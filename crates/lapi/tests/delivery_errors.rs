@@ -121,3 +121,40 @@ fn failure_toward_one_task_leaves_other_flows_healthy() {
         ctx.barrier();
     });
 }
+
+#[test]
+fn delivered_but_unacknowledged_put_unwinds_once() {
+    // Data always arrives, (almost) no ACK ever does: the put times out
+    // although the target received it, so the target's `Done` comes back
+    // to an origin that is retiring the same op on its error path. The
+    // two must not both give the op's fence count back — the origin
+    // latches the peer dead (which zeroes the count) before anything
+    // else, so the late `Done` finds a dead peer and is dropped.
+    let cfg = || {
+        MachineConfig::default()
+            .with_no_faults()
+            .with_ack_drop_prob(0.999)
+            .with_max_retransmits(2)
+    };
+    for seed in 0..20 {
+        let ctxs = LapiWorld::init_full(2, cfg(), Mode::Interrupt, seed, Duration::from_secs(10));
+        run_spmd_with(ctxs, |rank, ctx| {
+            // The target's `Done` times out the same way; that failure has
+            // no call to return through.
+            ctx.register_err_hndlr(|_| {});
+            let buf = ctx.alloc(8);
+            let addrs = ctx.address_init(buf);
+            ctx.barrier();
+            if rank == 0 {
+                let r = ctx.put(1, addrs[1], &[9u8; 8], None, None, None);
+                assert!(
+                    matches!(r, Err(LapiError::DeliveryTimeout { target: 1, .. })),
+                    "expected a timeout toward 1, got {r:?}"
+                );
+                assert_eq!(ctx.dead_peers(), vec![1]);
+                assert_eq!(ctx.pending(1), 0, "failed put must not leak pending ops");
+            }
+            ctx.barrier();
+        });
+    }
+}

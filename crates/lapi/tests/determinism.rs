@@ -238,6 +238,46 @@ fn pooled_and_threaded_schedulers_produce_byte_identical_traces() {
     );
 }
 
+/// The same equivalence over a fabric that drops and duplicates, in every
+/// CI lane rather than only under `SPSIM_FAULT_PROFILE=lossy`. A send whose
+/// ACK is lost resolves its retransmission rounds — each one a reservation
+/// on the destination's ejection link — inside the sender's own call, and
+/// must finish doing so before the destination can see the first copy:
+/// otherwise rank 0, woken by that copy, gets a third node to reply while
+/// the sender is still reserving, and who reaches the link first is a host
+/// race.
+#[test]
+fn lossy_fabric_replays_identically_across_schedulers() {
+    let _serial = SCHED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = SchedRestore;
+    let lossy = || {
+        MachineConfig::default()
+            .with_drop_prob(0.10)
+            .with_dup_prob(0.02)
+    };
+
+    spsim::set_sched_mode(Some(spsim::SchedMode::Pool));
+    spsim::set_worker_cap(Some(1));
+    let reference = run_once_on(lossy());
+    assert!(
+        reference.contains("retransmit"),
+        "seed no longer loses a packet; pick one that does"
+    );
+    for round in 0..30 {
+        if round % 2 == 0 {
+            spsim::set_sched_mode(Some(spsim::SchedMode::Threads));
+        } else {
+            spsim::set_sched_mode(Some(spsim::SchedMode::Pool));
+            spsim::set_worker_cap(Some(4));
+        }
+        assert_eq!(
+            reference,
+            run_once_on(lossy()),
+            "lossy replay diverged on round {round}"
+        );
+    }
+}
+
 #[test]
 fn crash_replay_is_byte_identical_under_pooled_scheduler() {
     let _serial = SCHED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());

@@ -37,11 +37,11 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::diag::OrDiag;
@@ -120,6 +120,7 @@ pub fn set_worker_cap(cap: Option<usize>) {
         let target = st.live.clamp(1, st.active_cap);
         s.ensure_workers(&mut st, target);
         drop(st);
+        // Ungated: workers idled by a lower cap sleep outside `idle`.
         s.work_cv.notify_all();
     }
 }
@@ -300,8 +301,10 @@ pub(crate) struct Task {
     notified: AtomicBool,
     /// Why the last park ended; read by the fiber after it resumes.
     timed_out: AtomicBool,
-    /// Bumped on every park; stale timer entries are detected by mismatch.
-    park_epoch: AtomicU64,
+    /// Key of this task's entry in `SchedState.timers` while it is parked
+    /// with a deadline (scheduler-lock guarded): at most one live timer per
+    /// task, removed by whichever of notify and deadline ends the park.
+    timer: Cell<Option<TimerKey>>,
     /// Worker index this task must resume on (`usize::MAX` = any): set
     /// when a task parks mid-unwind, because std's panic bookkeeping is
     /// thread-local and must unwind on the thread that started it.
@@ -313,7 +316,8 @@ pub(crate) struct Task {
 // Safety: `fiber` is only touched by the spawner before the task is first
 // enqueued and by the one worker currently running or switching the task;
 // every hand-off between workers goes through the scheduler mutex, which
-// orders those accesses.
+// orders those accesses. `timer` is only read or written with the scheduler
+// mutex held. Every other field is an atomic, a mutex or immutable.
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
@@ -329,7 +333,7 @@ impl Task {
             parked: AtomicBool::new(false),
             notified: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
-            park_epoch: AtomicU64::new(0),
+            timer: Cell::new(None),
             pin: AtomicUsize::new(usize::MAX),
             done: Mutex::new(Done {
                 finished: false,
@@ -454,7 +458,7 @@ fn switch_to_worker(task: &Task) {
 /// Park the running fiber until [`Sched::unpark`] or `deadline`. Returns
 /// true if the park ended by timeout. Must be called from a fiber.
 // liveness: wakeups come from Sched::unpark (queue pushes, condvar
-// notifies, joins) or from the timer heap when `deadline` is set; the
+// notifies, joins) or from the timer map when `deadline` is set; the
 // worker promotes due timers every scheduling round and fast-forwards the
 // earliest one when the whole pool is quiescent.
 pub(crate) fn park_current(deadline: Option<Instant>) -> bool {
@@ -485,38 +489,13 @@ pub fn yield_now() {
 
 // -------------------------------------------------------------- scheduler
 
-struct TimerEnt {
-    at: Instant,
-    seq: u64,
-    epoch: u64,
-    task: Arc<Task>,
-}
-
-impl PartialEq for TimerEnt {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEnt {}
-impl PartialOrd for TimerEnt {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEnt {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest deadline
-        // on top (same inversion as TimedQueue's Entry).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// `(deadline, push sequence)`: unique, ordered earliest-first.
+type TimerKey = (Instant, u64);
 
 struct SchedState {
     ready: VecDeque<Arc<Task>>,
-    timers: BinaryHeap<TimerEnt>,
+    /// One entry per task parked with a deadline, so never more than `live`.
+    timers: BTreeMap<TimerKey, Arc<Task>>,
     timer_seq: u64,
     /// Tasks currently executing on a worker.
     running: usize,
@@ -526,10 +505,16 @@ struct SchedState {
     workers: usize,
     /// Workers with index >= this cap idle (test hook / lowered override).
     active_cap: usize,
+    /// Workers below the cap asleep on `work_cv`. Raised and lowered under
+    /// this lock around each wait, so a notifier that reads zero while
+    /// holding it knows nobody can use a wake and skips the system call.
+    idle: usize,
     /// Eagerly fired timers since the last external progress signal.
     fired_since_progress: usize,
     /// Progress epoch snapshot (see `PROGRESS`).
     seen_progress: u64,
+    /// Work counts (all but `kernel_notifies`, see [`counters`]).
+    counts: SchedCounters,
 }
 
 struct Sched {
@@ -552,6 +537,46 @@ pub(crate) fn note_progress() {
     PROGRESS.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Host-independent work counts of the scheduler since process start: what
+/// a simulated job made the pool do, whatever the host's speed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedCounters {
+    /// Fibers that switched out to park (including parks cut short by a
+    /// wake token).
+    pub parks: u64,
+    /// [`SimCondvar`] notifies, queue pushes and joins that reached a task.
+    pub wakes: u64,
+    /// Fibers that switched out through [`yield_now`].
+    pub yields: u64,
+    /// Condvar notifies that made the system call: [`SimCondvar`]s with a
+    /// plain-thread waiter, and the pool's own condvar with a worker asleep.
+    pub kernel_notifies: u64,
+    /// Park deadlines entered into the timer map.
+    pub timers_pushed: u64,
+    /// Of those, removed by a notify before they came due.
+    pub timers_cancelled: u64,
+}
+
+/// The one count bumped outside the scheduler lock (after `Sched::wake`
+/// has released it, and from `SimCondvar` notifies); the rest are plain
+/// fields of `SchedState.counts`.
+static KERNEL_NOTIFIES: AtomicU64 = AtomicU64::new(0);
+
+fn count_kernel_notify() {
+    // ordering: a statistic that publishes nothing else.
+    KERNEL_NOTIFIES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Snapshot of the scheduler's work counters (each count is exact once the
+/// job it describes has gone quiet).
+pub fn counters() -> SchedCounters {
+    SchedCounters {
+        // ordering: statistics, see `count_kernel_notify`.
+        kernel_notifies: KERNEL_NOTIFIES.load(Ordering::Relaxed),
+        ..Sched::get().map_or_else(SchedCounters::default, |s| s.lock().counts)
+    }
+}
+
 static SCHED: OnceLock<Sched> = OnceLock::new();
 
 impl Sched {
@@ -563,21 +588,43 @@ impl Sched {
         SCHED.get_or_init(|| Sched {
             state: Mutex::new(SchedState {
                 ready: VecDeque::new(),
-                timers: BinaryHeap::new(),
+                timers: BTreeMap::new(),
                 timer_seq: 0,
                 running: 0,
                 live: 0,
                 workers: 0,
                 active_cap: worker_cap(),
+                idle: 0,
                 fired_since_progress: 0,
                 seen_progress: 0,
+                counts: SchedCounters::default(),
             }),
             work_cv: Condvar::new(),
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Release the scheduler lock after a change a sleeping worker must
+    /// see (new ready task, earlier deadline, quiescence), and notify
+    /// `work_cv` only if a worker is asleep to hear it. A worker that goes
+    /// to sleep after this reads `idle` has already seen the change.
+    fn wake(&self, st: MutexGuard<'_, SchedState>, all: bool) {
+        let idle = st.idle;
+        // Workers idled by a lowered cap wait on the same condvar and
+        // would swallow a `notify_one`.
+        let all = all || st.workers > st.active_cap;
+        drop(st);
+        if idle > 0 {
+            count_kernel_notify();
+            if all {
+                self.work_cv.notify_all();
+            } else {
+                self.work_cv.notify_one();
+            }
+        }
     }
 
     /// Spawn worker threads up to `target` (never shrinks; a lowered cap
@@ -601,35 +648,32 @@ impl Sched {
         let target = st.live.clamp(1, st.active_cap);
         self.ensure_workers(&mut st, target);
         st.ready.push_back(task);
-        drop(st);
         note_progress();
-        self.work_cv.notify_one();
+        self.wake(st, false);
     }
 
     /// Make a parked task runnable (or leave it a wake token if it has not
     /// finished parking yet). `timed_out=false` marks a genuine notify.
     fn unpark(&self, task: &Arc<Task>) {
         let mut st = self.lock();
+        st.counts.wakes += 1;
+        note_progress();
         // ordering: both flags are only flipped under the scheduler lock.
         if task.parked.swap(false, Ordering::Relaxed) {
             task.timed_out.store(false, Ordering::Relaxed);
+            if let Some(key) = task.timer.take() {
+                st.timers.remove(&key);
+                st.counts.timers_cancelled += 1;
+            }
             st.ready.push_back(Arc::clone(task));
             // ordering: pin writes happen-before via the scheduler lock.
-            let pinned = task.pin.load(Ordering::Relaxed) != usize::MAX;
-            drop(st);
-            note_progress();
             // A pinned task can only run on one worker — wake them all so
             // the right one sees it.
-            if pinned {
-                self.work_cv.notify_all();
-            } else {
-                self.work_cv.notify_one();
-            }
+            let pinned = task.pin.load(Ordering::Relaxed) != usize::MAX;
+            self.wake(st, pinned);
         } else {
             // ordering: wake token is read back under the same lock.
             task.notified.store(true, Ordering::Relaxed);
-            drop(st);
-            note_progress();
         }
     }
 
@@ -644,40 +688,20 @@ impl Sched {
         st.ready.remove(idx)
     }
 
-    /// Move every wall-clock-due (or stale) timer out of the heap; due
-    /// tasks become ready with `timed_out` set.
-    fn promote_due(&self, st: &mut SchedState, now: Instant) {
-        while let Some(top) = st.timers.peek() {
-            if top.at > now {
-                break;
-            }
-            let ent = st.timers.pop().or_diag("peeked timer vanished");
-            if Self::timer_valid(&ent) {
-                // ordering: flags flipped under the scheduler lock; the
-                // resumed fiber observes timed_out via the lock hand-off.
-                ent.task.parked.store(false, Ordering::Relaxed);
-                ent.task.timed_out.store(true, Ordering::Relaxed);
-                st.ready.push_back(ent.task);
-            }
+    /// Take the earliest timer if it is due at `now` (`None` = whatever its
+    /// deadline) and end its task's park as a timeout.
+    fn pop_timer(st: &mut SchedState, now: Option<Instant>) -> Option<Arc<Task>> {
+        let entry = st.timers.first_entry()?;
+        if now.is_some_and(|now| entry.key().0 > now) {
+            return None;
         }
-    }
-
-    fn timer_valid(ent: &TimerEnt) -> bool {
-        // ordering: checked under the scheduler lock that also guards
-        // parking, so the epoch cannot advance mid-check.
-        ent.task.parked.load(Ordering::Relaxed)
-            && ent.task.park_epoch.load(Ordering::Relaxed) == ent.epoch
-    }
-
-    /// Earliest still-valid deadline, if any (stale heads are discarded).
-    fn earliest_deadline(st: &mut SchedState) -> Option<Instant> {
-        while let Some(top) = st.timers.peek() {
-            if Self::timer_valid(top) {
-                return Some(top.at);
-            }
-            st.timers.pop();
-        }
-        None
+        let task = entry.remove();
+        task.timer.set(None);
+        // ordering: flags flipped under the scheduler lock; the resumed
+        // fiber observes timed_out via the lock hand-off.
+        task.parked.store(false, Ordering::Relaxed);
+        task.timed_out.store(true, Ordering::Relaxed);
+        Some(task)
     }
 
     fn worker_loop(&'static self, wi: usize) {
@@ -697,7 +721,10 @@ impl Sched {
                         st.seen_progress = ep;
                         st.fired_since_progress = 0;
                     }
-                    self.promote_due(&mut st, Instant::now());
+                    let now = Instant::now();
+                    while let Some(t) = Self::pop_timer(&mut st, Some(now)) {
+                        st.ready.push_back(t);
+                    }
                     if let Some(t) = Self::pop_ready(&mut st, wi) {
                         st.running += 1;
                         break t;
@@ -711,52 +738,39 @@ impl Sched {
                         && st.ready.is_empty()
                         && st.fired_since_progress < st.timers.len()
                     {
-                        if let Some(ent) = Self::pop_valid_timer(&mut st) {
+                        if let Some(t) = Self::pop_timer(&mut st, None) {
                             st.fired_since_progress += 1;
                             // ordering: under the scheduler lock, as above.
-                            let p = ent.task.pin.load(Ordering::Relaxed);
-                            ent.task.parked.store(false, Ordering::Relaxed);
-                            ent.task.timed_out.store(true, Ordering::Relaxed);
+                            let p = t.pin.load(Ordering::Relaxed);
                             if p == usize::MAX || p == wi {
                                 st.running += 1;
-                                break ent.task;
+                                break t;
                             }
-                            st.ready.push_back(ent.task);
-                            drop(st);
-                            self.work_cv.notify_all();
+                            st.ready.push_back(t);
+                            self.wake(st, true);
                             st = self.lock();
                             continue;
                         }
                     }
-                    match Self::earliest_deadline(&mut st) {
+                    // liveness: woken through `Sched::wake` by spawn_task,
+                    // unpark, yields and earlier deadlines — each sees
+                    // `idle > 0` because it is raised under the lock this
+                    // wait releases — and by set_worker_cap; the earliest
+                    // pending deadline bounds the sleep.
+                    st.idle += 1;
+                    st = match st.timers.first_key_value().map(|(k, _)| k.0) {
                         Some(d) => {
-                            let now = Instant::now();
-                            if d > now {
-                                let (g, _) = self
-                                    .work_cv
-                                    .wait_timeout(st, d - now)
-                                    .unwrap_or_else(|e| e.into_inner());
-                                st = g;
-                            }
+                            let left = d.saturating_duration_since(now);
+                            let r = self.work_cv.wait_timeout(st, left);
+                            r.unwrap_or_else(|e| e.into_inner()).0
                         }
-                        // liveness: woken by spawn_task/unpark/set_worker_cap
-                        // notifies; with no pending timers there is nothing
-                        // to time out toward.
-                        None => st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                    }
+                        None => self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+                    };
+                    st.idle -= 1;
                 }
             };
             self.run_task(task, wi);
         }
-    }
-
-    fn pop_valid_timer(st: &mut SchedState) -> Option<TimerEnt> {
-        while let Some(ent) = st.timers.pop() {
-            if Self::timer_valid(&ent) {
-                return Some(ent);
-            }
-        }
-        None
     }
 
     /// Switch a task in; on switch-back, apply its exit protocol. The park
@@ -772,18 +786,17 @@ impl Sched {
         unsafe { spsim_ctx_switch(save, restore) };
         CURRENT.with(|c| *c.borrow_mut() = None);
         let exit = EXIT.with(|e| e.get());
+        let mut st = self.lock();
+        st.running -= 1;
         match exit {
             ExitKind::Yield => {
-                let mut st = self.lock();
-                st.running -= 1;
+                st.counts.yields += 1;
                 st.ready.push_back(task);
-                drop(st);
-                self.work_cv.notify_one();
+                self.wake(st, false);
             }
             ExitKind::Park => {
+                st.counts.parks += 1;
                 let deadline = EXIT_DEADLINE.with(|d| d.take());
-                let mut st = self.lock();
-                st.running -= 1;
                 // ordering: the wake-token handshake is serialized by the
                 // scheduler lock (see Sched::unpark).
                 if task.notified.swap(false, Ordering::Relaxed) {
@@ -791,38 +804,30 @@ impl Sched {
                     // ordering: still under the scheduler lock.
                     task.timed_out.store(false, Ordering::Relaxed);
                     st.ready.push_back(task);
-                    drop(st);
-                    self.work_cv.notify_one();
+                    self.wake(st, false);
                 } else {
-                    // ordering: park flag and epoch flip under the lock;
-                    // timer validation re-reads them under the same lock.
+                    // ordering: the park flag flips under the lock that
+                    // unpark and the timer pops take.
                     task.parked.store(true, Ordering::Relaxed);
-                    let epoch = task.park_epoch.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(at) = deadline {
+                        st.counts.timers_pushed += 1;
                         st.timer_seq += 1;
-                        let seq = st.timer_seq;
-                        let is_new_min = st.timers.peek().is_none_or(|t| at < t.at);
-                        st.timers.push(TimerEnt {
-                            at,
-                            seq,
-                            epoch,
-                            task,
-                        });
-                        drop(st);
+                        let key = (at, st.timer_seq);
+                        let is_new_min = st.timers.first_key_value().is_none_or(|(k, _)| key < *k);
+                        task.timer.set(Some(key));
+                        st.timers.insert(key, task);
                         if is_new_min {
                             // Sleeping workers hold a stale earliest
                             // deadline; refresh them.
-                            self.work_cv.notify_all();
+                            self.wake(st, true);
                         }
                     }
                 }
             }
             ExitKind::Finish => {
-                {
-                    let mut st = self.lock();
-                    st.running -= 1;
-                    st.live -= 1;
-                }
+                st.live -= 1;
+                // A sleeping worker re-checks quiescence.
+                self.wake(st, false);
                 let waiters = {
                     let mut done = task.done.lock().unwrap_or_else(|e| e.into_inner());
                     done.finished = true;
@@ -833,7 +838,6 @@ impl Sched {
                 for w in &waiters {
                     self.unpark(w);
                 }
-                self.work_cv.notify_one();
             }
         }
     }
@@ -906,9 +910,20 @@ impl SimWaitTimeoutResult {
 /// all of *both* kinds of waiter, so mixed jobs — fiber services with a
 /// thread-driven harness, or the `SPSIM_SCHED=threads` legacy mode — need
 /// no special-casing at call sites.
+///
+/// A notify costs what it wakes: both kinds of waiter are counted, and a
+/// notify that finds neither count raised touches no lock and makes no
+/// system call (a raw condvar notify is a `futex` call even with nobody
+/// asleep).
 #[derive(Default)]
 pub struct SimCondvar {
     raw: parking_lot::Condvar,
+    /// Plain threads inside a raw wait. Raised on entry to the wait, while
+    /// the caller still holds its mutex, and lowered once the wait has
+    /// re-acquired it: a notifier ordered after the waiter's condition
+    /// check by that mutex — the only notifier a raw condvar guarantees to
+    /// deliver — therefore reads it non-zero.
+    nthreads: AtomicUsize,
     fibers: Mutex<VecDeque<Arc<Task>>>,
     /// Registered fiber waiters, mirrored outside the deque lock so the
     /// (hot) notify path of a condvar with no fiber waiters — every
@@ -924,8 +939,23 @@ impl SimCondvar {
     pub const fn new() -> Self {
         SimCondvar {
             raw: parking_lot::Condvar::new(),
+            nthreads: AtomicUsize::new(0),
             fibers: Mutex::new(VecDeque::new()),
             nfibers: AtomicUsize::new(0),
+        }
+    }
+
+    /// The kernel half of a notify, skipped when no plain thread sleeps.
+    fn notify_threads(&self, all: bool) {
+        // ordering: SeqCst pairs with the increments in `wait`/`wait_until`.
+        if self.nthreads.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        count_kernel_notify();
+        if all {
+            self.raw.notify_all();
+        } else {
+            self.raw.notify_one();
         }
     }
 
@@ -988,13 +1018,21 @@ impl SimCondvar {
                     None,
                 );
             }
-            None => self.raw.wait(guard),
+            None => {
+                // ordering: SeqCst pairs with the load in `notify_threads`;
+                // the caller's mutex is held here and released only inside
+                // the raw wait.
+                self.nthreads.fetch_add(1, Ordering::SeqCst);
+                self.raw.wait(guard);
+                // ordering: as above; a late decrement costs a spare notify.
+                self.nthreads.fetch_sub(1, Ordering::SeqCst);
+            }
         }
     }
 
     /// Block until notified or `timeout` elapses.
     // liveness: notify wakeups as in `wait`; the deadline additionally
-    // feeds the scheduler timer heap (promoted when due or quiescent).
+    // feeds the scheduler timer map (promoted when due or quiescent).
     pub fn wait_for<T>(
         &self,
         guard: &mut parking_lot::MutexGuard<'_, T>,
@@ -1005,7 +1043,7 @@ impl SimCondvar {
 
     /// Block until notified or the `deadline` instant passes.
     // liveness: notify wakeups as in `wait`; the deadline additionally
-    // feeds the scheduler timer heap (promoted when due or quiescent).
+    // feeds the scheduler timer map (promoted when due or quiescent).
     pub fn wait_until<T>(
         &self,
         guard: &mut parking_lot::MutexGuard<'_, T>,
@@ -1023,7 +1061,13 @@ impl SimCondvar {
                 );
                 SimWaitTimeoutResult(timed_out)
             }
-            None => SimWaitTimeoutResult(self.raw.wait_until(guard, deadline).timed_out()),
+            None => {
+                // ordering: SeqCst ×2 — as in `wait`.
+                self.nthreads.fetch_add(1, Ordering::SeqCst);
+                let r = self.raw.wait_until(guard, deadline);
+                self.nthreads.fetch_sub(1, Ordering::SeqCst);
+                SimWaitTimeoutResult(r.timed_out())
+            }
         }
     }
 
@@ -1031,14 +1075,14 @@ impl SimCondvar {
     pub fn notify_one(&self) {
         // ordering: SeqCst pairs with the registration increment; a zero
         // here means no fiber registered-before this notify, so the deque
-        // lock can be skipped (the raw notify below still covers threads).
+        // lock can be skipped (`notify_threads` still covers threads).
         if self.nfibers.load(Ordering::SeqCst) == 0 {
             if Sched::get().is_some() {
                 // No fiber was registered yet, but a parked task's next
                 // tick will observe whatever state change this signals.
                 note_progress();
             }
-            self.raw.notify_one();
+            self.notify_threads(false);
             return;
         }
         let w = {
@@ -1057,7 +1101,7 @@ impl SimCondvar {
         } else if Sched::get().is_some() {
             note_progress();
         }
-        self.raw.notify_one();
+        self.notify_threads(false);
     }
 
     /// Wake all waiters (fibers and threads).
@@ -1067,7 +1111,7 @@ impl SimCondvar {
             if Sched::get().is_some() {
                 note_progress();
             }
-            self.raw.notify_all();
+            self.notify_threads(true);
             return;
         }
         let drained: Vec<_> = {
@@ -1085,7 +1129,7 @@ impl SimCondvar {
                 s.unpark(t);
             }
         }
-        self.raw.notify_all();
+        self.notify_threads(true);
     }
 }
 
@@ -1174,11 +1218,16 @@ mod tests {
         assert_eq!(*b.m.lock(), 3);
     }
 
+    /// Held by the test that times a quiescent pool and by the one that
+    /// keeps the (process-wide) pool busy for its whole run.
+    static POOL_QUIET: PlMutex<()> = PlMutex::new(());
+
     #[test]
     fn quiescent_pool_fast_forwards_tick_timers() {
         // A fiber whose ticks do productive work (signalled by a notify,
         // like a barrier's progress drain) needs 40 ms of wall pacing under
         // the legacy runtime; the quiescent pool fast-forwards each tick.
+        let _quiet = POOL_QUIET.lock();
         let m = Arc::new(PlMutex::new(()));
         let cv = Arc::new(SimCondvar::new());
         let drained = Arc::new(SimCondvar::new());
@@ -1199,6 +1248,80 @@ mod tests {
             started.elapsed() < Duration::from_millis(30),
             "eager firing should beat wall pacing, took {:?}",
             started.elapsed()
+        );
+    }
+
+    /// Far beyond any test's run time: a wait that reaches it lost its wakeup.
+    const NEVER: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn gated_notifies_lose_no_wakeup_between_thread_and_fiber() {
+        // Two parties alternate on `turn`'s parity. The plain thread's
+        // waits are ended by the fiber's notifies (the `nthreads` gate);
+        // the fiber's parks by the thread's (the `nfibers` gate, and the
+        // `idle` gate whenever the worker has meanwhile gone to sleep).
+        fn take_turns(b: &(PlMutex<u32>, SimCondvar), me: u32) {
+            let (m, cv) = b;
+            for _ in 0..10_000 {
+                let mut turn = m.lock();
+                let deadline = Instant::now() + NEVER;
+                while *turn % 2 != me {
+                    // A fiber's wait may report an early tick (quiescent
+                    // fast-forward); only the deadline itself is a timeout.
+                    cv.wait_until(&mut turn, deadline);
+                    assert!(Instant::now() < deadline, "lost wakeup at {}", *turn);
+                }
+                *turn += 1;
+                drop(turn);
+                cv.notify_one(); // outside the mutex, as the engines do
+            }
+        }
+        let b = Arc::new((PlMutex::new(0), SimCondvar::new()));
+        let b2 = Arc::clone(&b);
+        let fiber = spawn_fn("t-mixed", move || take_turns(&b2, 1));
+        take_turns(&b, 0);
+        join_task(&fiber);
+        assert_eq!(*b.0.lock(), 20_000);
+    }
+
+    #[test]
+    fn notified_parks_leave_no_timer_behind() {
+        const PARKS: u64 = 100_000;
+        let _busy = POOL_QUIET.lock();
+        let before = counters();
+        let sleeper = spawn_fn("t-sleeper", || {
+            // Until the waker exists the pool is quiescent and may end a
+            // park by an early tick; only notified parks count.
+            let mut notified = 0;
+            while notified < PARKS {
+                if !park_current(Some(Instant::now() + NEVER)) {
+                    notified += 1;
+                }
+            }
+        });
+        let s2 = Arc::clone(&sleeper);
+        let waker = spawn_fn("t-waker", move || {
+            for _ in 0..PARKS {
+                // ordering: a hint only — unpark re-reads it under the lock.
+                while !s2.parked.load(Ordering::Relaxed) {
+                    yield_now(); // keeps the pool non-quiescent: no early tick
+                }
+                Sched::global().unpark(&s2);
+            }
+        });
+        join_task(&waker);
+        join_task(&sleeper);
+        let after = counters();
+        assert!(after.timers_pushed - before.timers_pushed >= PARKS);
+        assert!(after.timers_cancelled - before.timers_cancelled >= PARKS);
+        // Each entry left with the park that pushed it, so only tasks
+        // parked right now (other tests') can hold one.
+        let st = Sched::global().lock();
+        assert!(
+            st.timers.len() <= st.live,
+            "{} > {}",
+            st.timers.len(),
+            st.live
         );
     }
 

@@ -6,10 +6,12 @@
 //! the wrong shape for packet delivery: the adapter already serializes all
 //! packets of a directed `(src, dst)` flow under the sender-side flow lock,
 //! so each *source* is a single producer into the destination's receive
-//! queue. [`DeliveryRings`] exploits that: one fixed-capacity SPSC circular
-//! ring per source lane (modeled on cpp-ipc's circular-array channels),
-//! lock-free on the producer side, with a spin-then-park protocol for
-//! blocked consumers.
+//! queue. [`DeliveryRings`] exploits that: one SPSC circular ring per source
+//! lane (modeled on cpp-ipc's circular-array channels), lock-free on the
+//! producer side, with a spin-then-park protocol for blocked consumers. A
+//! ring starts at [`FIRST_SLOTS`] and doubles on demand up to the configured
+//! capacity, and the consumer visits only lanes that have carried a packet,
+//! so memory and drain cost follow the traffic, not `lanes × capacity`.
 //!
 //! Ordering semantics are identical to [`TimedQueue`]: elements are handed
 //! out in `(timestamp, tie-break, push-sequence)` order among those
@@ -42,6 +44,9 @@ use crate::time::VTime;
 /// How long a producer spins on a full ring before yielding the CPU.
 const FULL_SPINS: u32 = 64;
 
+/// Slots in a lane's first buffer (or the capacity bound, if smaller).
+const FIRST_SLOTS: usize = 64;
+
 /// One entry, ordered exactly like `TimedQueue`'s heap entries: earliest
 /// timestamp first, ties broken by the key computed at push time (insertion
 /// sequence when the scheduler perturbation hook is disarmed, a seeded hash
@@ -73,14 +78,32 @@ impl<T> Ord for Entry<T> {
 
 type Slot<T> = UnsafeCell<MaybeUninit<Entry<T>>>;
 
+fn alloc_slots<T>(cap: usize) -> *mut Slot<T> {
+    let boxed: Box<[Slot<T>]> = (0..cap)
+        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+        .collect();
+    Box::into_raw(boxed) as *mut Slot<T>
+}
+
+/// # Safety
+/// `p` must come from `alloc_slots(cap)` and not be used afterwards; live
+/// entries must have been read out first (slots are `MaybeUninit`).
+unsafe fn free_slots<T>(p: *mut Slot<T>, cap: usize) {
+    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, cap)));
+}
+
 /// One single-producer/single-consumer circular ring (one source lane).
 ///
-/// The buffer is allocated lazily by the producer on first push, so an
-/// `n`-node switch does not pay `n²` ring allocations for lanes that never
-/// carry traffic. `head`/`tail` are free-running cursors; indices are
-/// `cursor & (capacity - 1)` (capacity is a power of two).
+/// The buffer is allocated by the producer on first push and doubled by it
+/// when full (`DeliveryRings::grow`), so an `n`-node switch pays neither
+/// `n²` ring allocations for lanes that never carry traffic nor the full
+/// capacity for lanes that stay shallow. `head`/`tail` are free-running
+/// cursors; indices are `cursor & (cap - 1)` (`cap` is a power of two), so
+/// they stay valid across a resize.
 struct Ring<T> {
     buf: AtomicPtr<Slot<T>>,
+    /// Slots in `buf`; 0 until the first push.
+    cap: AtomicUsize,
     head: AtomicUsize,
     tail: AtomicUsize,
 }
@@ -89,36 +112,29 @@ impl<T> Ring<T> {
     fn new() -> Self {
         Ring {
             buf: AtomicPtr::new(std::ptr::null_mut()),
+            cap: AtomicUsize::new(0),
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
         }
     }
+}
 
-    /// Producer-side: get the buffer, allocating it on first use. Only the
-    /// (single) producer ever stores a non-null pointer, so no CAS is
-    /// needed; consumers treat null as "nothing was ever pushed here".
-    fn ensure_buf(&self, cap: usize) -> *mut Slot<T> {
-        // ordering: Acquire pairs with the producer's own Release store;
-        // on the single producer thread a Relaxed load would also do, but
-        // Acquire keeps the pairing uniform with the consumer side.
-        let p = self.buf.load(Ordering::Acquire);
-        if !p.is_null() {
-            return p;
-        }
-        let boxed: Box<[Slot<T>]> = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect();
-        let p = Box::into_raw(boxed) as *mut Slot<T>;
-        // ordering: Release publishes the initialized buffer to consumers
-        // that load it with Acquire in `drain_into`.
-        self.buf.store(p, Ordering::Release);
-        p
-    }
+/// What the consumer owns under the `staged` lock.
+struct Staged<T> {
+    /// Rings are FIFO per lane but route skew makes per-lane timestamps
+    /// non-monotonic, so visible entries are re-ordered here before popping.
+    heap: BinaryHeap<Entry<T>>,
+    /// Lanes that have carried a packet, in first-push order: the only
+    /// rings `drain_into` visits. A producer registers its lane when it
+    /// allocates the lane's first buffer.
+    lanes: Vec<usize>,
 }
 
 /// Shared state behind [`DeliveryRings`] handles.
 struct RingsInner<T> {
     rings: Box<[Ring<T>]>,
+    /// Upper bound on a lane's slots: growth stops and back-pressure
+    /// starts here.
     cap: usize,
     /// Global push order across all lanes — the `seq` every entry carries,
     /// playing the role of `TimedQueue`'s per-push sequence counter.
@@ -127,11 +143,10 @@ struct RingsInner<T> {
     /// the lock-free emptiness hint `len`/`is_empty` read.
     depth: AtomicUsize,
     closed: AtomicBool,
-    /// Consumer staging heap: rings are FIFO per lane but route skew makes
-    /// per-lane timestamps non-monotonic, so visible entries are re-ordered
-    /// here before popping. Also serializes concurrent consumers
-    /// (dispatcher thread + application probe).
-    staged: Mutex<BinaryHeap<Entry<T>>>,
+    /// Consumer side. Serializes concurrent consumers (dispatcher thread +
+    /// application probe) and, because a ring's `buf`/`cap` change only
+    /// under it, gives a resizing producer the ring to itself.
+    staged: Mutex<Staged<T>>,
     /// Park/wake handshake for blocked consumers (see `recv_merge`).
     park: Mutex<()>,
     cond: SimCondvar,
@@ -140,39 +155,56 @@ struct RingsInner<T> {
 
 // SAFETY: every slot is written by exactly one producer (guarded by the
 // adapter's per-flow lock) and read by consumers only after observing the
-// producer's Release store of `tail`; the staging heap and park state are
-// mutex-protected. `T: Send` is required because entries cross threads.
+// producer's Release store of `tail`; a ring's buffer is replaced only by
+// that producer, under the `staged` lock every consumer holds while it
+// reads the ring; the staging heap and park state are mutex-protected.
+// `T: Send` is required because entries cross threads.
 unsafe impl<T: Send> Send for RingsInner<T> {}
 unsafe impl<T: Send> Sync for RingsInner<T> {}
 
+impl<T> RingsInner<T> {
+    /// Move every visible ring entry into the staging heap. Caller holds
+    /// the `staged` lock (the guard proves it).
+    fn drain_into(&self, staged: &mut Staged<T>) {
+        let Staged { heap, lanes } = staged;
+        for &lane in lanes.iter() {
+            let ring = &self.rings[lane];
+            // ordering: Relaxed ×3 — buf and cap change, and head advances,
+            // only under the `staged` lock, which the caller holds.
+            let buf = ring.buf.load(Ordering::Relaxed);
+            let mask = ring.cap.load(Ordering::Relaxed) - 1;
+            let mut head = ring.head.load(Ordering::Relaxed);
+            // ordering: Acquire pairs with the producer's Release store of
+            // `tail`: entries below it are fully written.
+            let tail = ring.tail.load(Ordering::Acquire);
+            while head != tail {
+                // SAFETY: [head, tail) slots are initialized (published by
+                // the producer's Release) and not yet consumed; reading
+                // them out transfers ownership to the staging heap.
+                let e = unsafe { (*(*buf.add(head & mask)).get()).assume_init_read() };
+                heap.push(e);
+                head = head.wrapping_add(1);
+                // ordering: Release — hand the slot back to the producer;
+                // pairs with its Acquire load in the full-ring wait loop.
+                ring.head.store(head, Ordering::Release);
+            }
+        }
+    }
+}
+
 impl<T> Drop for RingsInner<T> {
     fn drop(&mut self) {
-        for ring in self.rings.iter() {
-            // ordering: Relaxed — `&mut self` proves exclusive access.
+        let mut staged = self.staged.lock();
+        // Undelivered entries leave the rings here and drop with the heap.
+        self.drain_into(&mut staged);
+        for &lane in &staged.lanes {
+            let ring = &self.rings[lane];
+            // ordering: Relaxed ×2 — `&mut self` proves exclusive access.
             let p = ring.buf.load(Ordering::Relaxed);
-            if p.is_null() {
-                continue;
-            }
-            // ordering: Relaxed — `&mut self` proves exclusive access.
-            let head = ring.head.load(Ordering::Relaxed);
-            // ordering: Relaxed — same exclusive access as above.
-            let tail = ring.tail.load(Ordering::Relaxed);
-            let mask = self.cap - 1;
-            let mut cur = head;
-            while cur != tail {
-                // SAFETY: entries in [head, tail) were written and never
-                // consumed; read them out so their payloads drop.
-                unsafe {
-                    drop((*(*p.add(cur & mask)).get()).assume_init_read());
-                }
-                cur = cur.wrapping_add(1);
-            }
-            // SAFETY: reconstruct the boxed slice allocated in `ensure_buf`.
-            unsafe {
-                drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                    p, self.cap,
-                )));
-            }
+            let cap = ring.cap.load(Ordering::Relaxed);
+            // SAFETY: a registered lane owns the `cap`-slot buffer `grow`
+            // stored last, emptied above.
+            unsafe { free_slots(p, cap) };
         }
     }
 }
@@ -194,9 +226,9 @@ impl<T> Clone for DeliveryRings<T> {
 }
 
 impl<T: Send> DeliveryRings<T> {
-    /// New queue with `lanes` source lanes, each a ring of `capacity`
-    /// entries (rounded up to a power of two), and the default real-time
-    /// escape for blocking operations.
+    /// New queue with `lanes` source lanes, each a ring of at most
+    /// `capacity` entries (rounded up to a power of two), and the default
+    /// real-time escape for blocking operations.
     pub fn new(lanes: usize, capacity: usize) -> Self {
         Self::with_escape(lanes, capacity, DEFAULT_ESCAPE)
     }
@@ -213,7 +245,10 @@ impl<T: Send> DeliveryRings<T> {
                 next_seq: AtomicU64::new(0),
                 depth: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
-                staged: Mutex::new(BinaryHeap::new()),
+                staged: Mutex::new(Staged {
+                    heap: BinaryHeap::new(),
+                    lanes: Vec::new(),
+                }),
                 park: Mutex::new(()),
                 cond: SimCondvar::new(),
                 waiters: AtomicUsize::new(0),
@@ -222,9 +257,65 @@ impl<T: Send> DeliveryRings<T> {
         }
     }
 
-    /// Ring capacity per lane (after power-of-two rounding).
+    /// Most entries a lane's ring may hold (after power-of-two rounding).
     pub fn capacity(&self) -> usize {
         self.inner.cap
+    }
+
+    /// Slots currently allocated for `lane`: 0 before its first push, then
+    /// `max(FIRST_SLOTS, high-water depth)` rounded up to a power of two,
+    /// never above [`Self::capacity`].
+    pub fn lane_slots(&self, lane: usize) -> usize {
+        // ordering: Relaxed — a monitoring read of a producer-owned value.
+        self.inner.rings[lane].cap.load(Ordering::Relaxed)
+    }
+
+    /// Producer-side, cold: give `lane` its first buffer (registering the
+    /// lane with the consumer) or double a full one, moving `[head, tail)`
+    /// across. Runs under the `staged` lock, which every consumer holds
+    /// while it reads a ring, so nobody else touches the buffer meanwhile.
+    #[cold]
+    fn grow(&self, lane: usize) -> (*mut Slot<T>, usize) {
+        let inner = &*self.inner;
+        let ring = &inner.rings[lane];
+        // ordering: Relaxed ×2 — only this lane's producer stores these.
+        let old = ring.buf.load(Ordering::Relaxed);
+        let old_cap = ring.cap.load(Ordering::Relaxed);
+        let cap = if old.is_null() {
+            FIRST_SLOTS.min(inner.cap)
+        } else {
+            old_cap * 2
+        };
+        let new = alloc_slots::<T>(cap);
+        let mut staged = inner.staged.lock();
+        if old.is_null() {
+            staged.lanes.push(lane);
+        } else {
+            // ordering: Relaxed ×2 — tail is this producer's own, and head
+            // only moves under the `staged` lock, held here.
+            let mut cur = ring.head.load(Ordering::Relaxed);
+            let tail = ring.tail.load(Ordering::Relaxed);
+            while cur != tail {
+                // SAFETY: [head, tail) slots of the old buffer are
+                // initialized and unconsumed; each is moved bitwise to the
+                // slot the same cursor maps to in the new buffer, and the
+                // old copy is never read again.
+                unsafe {
+                    let e = (*old.add(cur & (old_cap - 1))).get().read();
+                    (*new.add(cur & (cap - 1))).get().write(e);
+                }
+                cur = cur.wrapping_add(1);
+            }
+            // SAFETY: `old` was this lane's `old_cap`-slot buffer; its
+            // entries were moved out above and no consumer holds the
+            // pointer outside the lock.
+            unsafe { free_slots(old, old_cap) };
+        }
+        // ordering: Relaxed ×2 — consumers read these under the `staged`
+        // lock, whose release below publishes them with the moved entries.
+        ring.buf.store(new, Ordering::Relaxed);
+        ring.cap.store(cap, Ordering::Relaxed);
+        (new, cap)
     }
 
     /// Enqueue `item` on `lane` as an event at virtual time `at`.
@@ -233,10 +324,11 @@ impl<T: Send> DeliveryRings<T> {
     /// (the adapter's per-flow lock provides this). Returns `true` if the
     /// item was accepted; pushing to a closed queue refuses the item and
     /// returns `false`, like [`TimedQueue::push`] — callers use the refusal
-    /// to write the packet off in the trace ledger. A full ring
-    /// spins-then-yields until the consumer frees a slot; if no consumer
-    /// drains within the real-time escape, the simulated program is stuck
-    /// and this panics with a diagnostic.
+    /// to write the packet off in the trace ledger. A full ring doubles
+    /// until it reaches [`Self::capacity`]; from there the push
+    /// spins-then-yields until the consumer frees a slot, and if no
+    /// consumer drains within the real-time escape, the simulated program
+    /// is stuck and this panics with a diagnostic.
     pub fn push_from(&self, lane: usize, at: VTime, item: T) -> bool {
         let inner = &*self.inner;
         // ordering: SeqCst — the close flag participates in the same total
@@ -250,9 +342,10 @@ impl<T: Send> DeliveryRings<T> {
         let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
         let tie = crate::runtime::tiebreak_key(seq);
         let ring = &inner.rings[lane];
-        let buf = ring.ensure_buf(inner.cap);
-        // ordering: Relaxed — tail is only ever advanced by this (single)
-        // producer; no other thread writes it.
+        // ordering: Relaxed ×3 — buf, cap and tail are only ever stored by
+        // this (single) producer.
+        let mut buf = ring.buf.load(Ordering::Relaxed);
+        let mut cap = ring.cap.load(Ordering::Relaxed);
         let tail = ring.tail.load(Ordering::Relaxed);
         let mut spins: u32 = 0;
         let mut deadline: Option<Instant> = None;
@@ -264,7 +357,11 @@ impl<T: Send> DeliveryRings<T> {
             // `drain_into`: observing the advanced head also means the
             // consumer is done reading the slot we are about to overwrite.
             let head = ring.head.load(Ordering::Acquire);
-            if tail.wrapping_sub(head) < inner.cap {
+            if tail.wrapping_sub(head) < cap {
+                break;
+            }
+            if cap < inner.cap {
+                (buf, cap) = self.grow(lane);
                 break;
             }
             // ordering: SeqCst — see the close check above.
@@ -294,11 +391,11 @@ impl<T: Send> DeliveryRings<T> {
                 }
             }
         }
-        let mask = inner.cap - 1;
         // SAFETY: the slot at `tail` is unoccupied (checked against `head`
-        // above) and this thread is the lane's only producer.
+        // above, or fresh from `grow`) and this thread is the lane's only
+        // producer.
         unsafe {
-            (*buf.add(tail & mask))
+            (*buf.add(tail & (cap - 1)))
                 .get()
                 .write(MaybeUninit::new(Entry { at, tie, seq, item }));
         }
@@ -321,38 +418,6 @@ impl<T: Send> DeliveryRings<T> {
             inner.cond.notify_one();
         }
         true
-    }
-
-    /// Move every visible ring entry into the staging heap. Caller holds
-    /// the `staged` lock (the guard proves it).
-    fn drain_into(&self, staged: &mut BinaryHeap<Entry<T>>) {
-        let inner = &*self.inner;
-        let mask = inner.cap - 1;
-        for ring in inner.rings.iter() {
-            // ordering: Acquire pairs with the producer's Release store in
-            // `ensure_buf`: a non-null pointer is a fully initialized buffer.
-            let buf = ring.buf.load(Ordering::Acquire);
-            if buf.is_null() {
-                continue;
-            }
-            // ordering: Relaxed — head is only advanced under the `staged`
-            // lock, which the caller holds; the lock orders consumers.
-            let mut head = ring.head.load(Ordering::Relaxed);
-            // ordering: Acquire pairs with the producer's Release store of
-            // `tail`: entries below it are fully written.
-            let tail = ring.tail.load(Ordering::Acquire);
-            while head != tail {
-                // SAFETY: [head, tail) slots are initialized (published by
-                // the producer's Release) and not yet consumed; reading
-                // them out transfers ownership to the staging heap.
-                let e = unsafe { (*(*buf.add(head & mask)).get()).assume_init_read() };
-                staged.push(e);
-                head = head.wrapping_add(1);
-                // ordering: Release — hand the slot back to the producer;
-                // pairs with its Acquire load in the full-ring wait loop.
-                ring.head.store(head, Ordering::Release);
-            }
-        }
     }
 
     fn pop_staged(&self, staged: &mut BinaryHeap<Entry<T>>) -> Option<Stamped<T>> {
@@ -400,8 +465,8 @@ impl<T: Send> DeliveryRings<T> {
     /// Nonblocking: take the earliest-stamped visible element.
     pub fn try_recv(&self) -> Result<Option<Stamped<T>>, QueueClosed> {
         let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
-        match self.pop_staged(&mut staged) {
+        self.inner.drain_into(&mut staged);
+        match self.pop_staged(&mut staged.heap) {
             Some(s) => Ok(Some(s)),
             // ordering: SeqCst — see `close`.
             None if self.inner.closed.load(Ordering::SeqCst) => Err(QueueClosed),
@@ -413,10 +478,10 @@ impl<T: Send> DeliveryRings<T> {
     /// element only if its timestamp is `<= now`.
     pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
         let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
-        if let Some(top) = staged.peek() {
+        self.inner.drain_into(&mut staged);
+        if let Some(top) = staged.heap.peek() {
             if top.at <= now {
-                return Ok(self.pop_staged(&mut staged));
+                return Ok(self.pop_staged(&mut staged.heap));
             }
             return Ok(None);
         }
@@ -461,9 +526,9 @@ impl<T: Send> DeliveryRings<T> {
     pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
         let mut out = Vec::new();
         let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
-        while staged.peek().is_some_and(|top| top.at <= now) {
-            if let Some(s) = self.pop_staged(&mut staged) {
+        self.inner.drain_into(&mut staged);
+        while staged.heap.peek().is_some_and(|top| top.at <= now) {
+            if let Some(s) = self.pop_staged(&mut staged.heap) {
                 out.push(s);
             }
         }
@@ -481,8 +546,8 @@ impl<T: Send> DeliveryRings<T> {
         loop {
             {
                 let mut staged = inner.staged.lock();
-                self.drain_into(&mut staged);
-                if let Some(s) = self.pop_staged(&mut staged) {
+                self.inner.drain_into(&mut staged);
+                if let Some(s) = self.pop_staged(&mut staged.heap) {
                     return Ok(Some(s));
                 }
                 // ordering: SeqCst — see `close`.
@@ -527,8 +592,9 @@ impl<T: Send> DeliveryRings<T> {
     #[doc(hidden)]
     pub fn debug_entries(&self) -> Vec<(u64, u64, u64)> {
         let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
+        self.inner.drain_into(&mut staged);
         let mut out: Vec<(u64, u64, u64)> = staged
+            .heap
             .iter()
             .map(|e| (e.at.as_ns(), e.tie, e.seq))
             .collect();
@@ -737,6 +803,81 @@ mod tests {
         for want in 1..5u64 {
             assert_eq!(q.recv_merge(&clock).unwrap().item, want);
         }
+    }
+
+    #[test]
+    fn ring_grows_across_a_wrapped_window() {
+        let q = DeliveryRings::new(2, 256);
+        assert_eq!(q.lane_slots(0), 0);
+        // Walk the cursors to 40 so the next 64 entries wrap the buffer.
+        for i in 0..40u64 {
+            q.push_from(0, VTime::from_us(i), i);
+            assert_eq!(q.try_recv().unwrap().unwrap().item, i);
+        }
+        assert_eq!(q.lane_slots(0), FIRST_SLOTS);
+        for i in 40..105u64 {
+            q.push_from(0, VTime::from_us(i), i);
+        }
+        assert_eq!(q.lane_slots(0), 2 * FIRST_SLOTS, "the 65th doubled it");
+        assert_eq!(q.lane_slots(1), 0, "an idle lane owns nothing");
+        for i in 40..105u64 {
+            let got = q.try_recv().unwrap().unwrap();
+            assert_eq!((got.at, got.item), (VTime::from_us(i), i));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn slots_follow_the_high_water_depth() {
+        for k in [1usize, 64, 65, 200, 1000, 4096] {
+            let q = DeliveryRings::new(1, 4096);
+            for round in 0..3 {
+                for i in 0..k {
+                    q.push_from(0, VTime::ZERO, i);
+                }
+                assert_eq!(q.drain_ready(VTime::ZERO).len(), k, "round {round}");
+                assert_eq!(q.lane_slots(0), k.next_power_of_two().max(FIRST_SLOTS));
+            }
+        }
+    }
+
+    #[test]
+    fn growth_stops_at_capacity_then_backpressure() {
+        let q = DeliveryRings::with_escape(1, 128, Duration::from_millis(40));
+        for i in 0..128u64 {
+            q.push_from(0, VTime::from_us(i), i);
+        }
+        assert_eq!(q.lane_slots(0), 128);
+        // At the bound a full ring waits for the consumer; with none, the
+        // escape fires — exactly as a fixed 128-slot ring did.
+        let push = std::panic::AssertUnwindSafe(|| q.push_from(0, VTime::ZERO, 128));
+        let msg = *std::panic::catch_unwind(push)
+            .expect_err("a full ring at capacity must not accept")
+            .downcast::<String>()
+            .unwrap();
+        assert!(msg.contains("ring full"), "{msg}");
+        assert_eq!((q.lane_slots(0), q.len()), (128, 128));
+        for i in 0..128u64 {
+            assert_eq!(q.try_recv().unwrap().unwrap().item, i);
+        }
+    }
+
+    #[test]
+    fn drop_after_grow_frees_undelivered_entries() {
+        let payload = Arc::new(());
+        let q = DeliveryRings::new(1, 256);
+        for _ in 0..100 {
+            q.push_from(0, VTime::ZERO, Arc::clone(&payload));
+        }
+        for _ in 0..10 {
+            q.try_recv().unwrap().unwrap(); // stages all 100, delivers 10
+        }
+        for _ in 0..30 {
+            q.push_from(0, VTime::ZERO, Arc::clone(&payload)); // left in the ring
+        }
+        assert_eq!((q.lane_slots(0), Arc::strong_count(&payload)), (128, 121));
+        drop(q);
+        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     #[test]
