@@ -1,7 +1,7 @@
 //! 1024-node scale smoke test — the acceptance gate for M:N node
-//! scheduling (ROADMAP item 1): a four-figure node count, which would need
-//! ~3000 OS threads under the legacy thread-per-node runtime, must
-//! complete on the pooled scheduler with a worker set sized to the host.
+//! scheduling: a four-figure node count (~3000 simulated contexts: node,
+//! dispatcher and completion service each) must complete on the pooled
+//! scheduler with a worker set sized to the host.
 //!
 //! The workload is deliberately short — create one distributed array, fill
 //! every block locally, then pull a single remote element from the ring

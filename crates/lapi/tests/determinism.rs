@@ -17,7 +17,7 @@
 //! what the BTreeMap migration (and lint rule L2) exists to prevent.
 
 use lapi::{LapiContext, LapiWorld, Mode};
-use spsim::{run_spmd_with, DeliveryPath, FaultPlan, MachineConfig, VTime};
+use spsim::{run_spmd_with, FaultPlan, MachineConfig, VTime};
 
 const SEED: u64 = 0x7E57_5EED;
 const LEN: usize = 192;
@@ -165,75 +165,58 @@ fn crash_workload(rank: usize, ctx: &mut LapiContext) {
     assert_eq!(ctx.gfence_surviving().unwrap(), vec![0]);
 }
 
-/// Satellite of the node-failure domain: the delivery paths must stay
-/// byte-identical *under a node crash* too — retransmission storms,
-/// peer-death unwinding, and the degraded fence all ride the same
-/// (time, tie, seq) order through either path.
+/// Satellite of the node-failure domain: a same-seed run must replay
+/// byte-identically *under a node crash* too — retransmission storms,
+/// peer-death unwinding, and the degraded fence all ride the delivery
+/// rings' (time, tie, seq) order.
 #[test]
-fn heap_and_ring_paths_stay_identical_under_node_crash() {
-    let cfg = |path| {
-        MachineConfig::default()
-            .with_no_faults()
-            .with_delivery_path(path)
-    };
-    let heap = crash_run_once_on(cfg(DeliveryPath::Heap));
-    let rings = crash_run_once_on(cfg(DeliveryPath::Rings));
-    assert!(!heap.is_empty(), "crash workload produced no trace events");
-    assert_eq!(heap, rings, "delivery paths diverged under a node crash");
+fn same_seed_crash_run_replays_byte_identically() {
+    let cfg = || MachineConfig::default().with_no_faults();
+    let first = crash_run_once_on(cfg());
+    assert!(!first.is_empty(), "crash workload produced no trace events");
     assert_eq!(
-        heap,
-        crash_run_once_on(cfg(DeliveryPath::Heap)),
+        first,
+        crash_run_once_on(cfg()),
         "same-seed crash runs must replay byte-identically"
     );
 }
 
 // ----------------------------------------------------- scheduler equivalence
 //
-// PR 10's M:N scheduler must be *invisible* to virtual time: the same seed
-// must replay byte-identically whether nodes run thread-per-node
-// (`SPSIM_SCHED=threads`) or as fibers on a pooled worker set, and at any
-// worker count (`SPSIM_WORKERS`), including a single worker, where every
-// blocking point must yield correctly or the run livelocks.
+// The M:N scheduler must be *invisible* to virtual time: the same seed must
+// replay byte-identically at any worker count (`SPSIM_WORKERS`) — a single
+// worker round-robining every fiber, where every blocking point must yield
+// correctly or the run livelocks, and four OS workers genuinely racing each
+// other. Host interleaving must not be able to reach a trace.
 
-/// Serializes the tests that flip the process-global scheduler knobs so
-/// each one actually measures the mode it claims to.
+/// Serializes the tests that flip the process-global worker cap so each one
+/// actually measures the pool it claims to.
 static SCHED_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Restores the default scheduler mode and worker cap even if the test
-/// body panics mid-comparison.
+/// Restores the default worker cap even if the test body panics
+/// mid-comparison.
 struct SchedRestore;
 impl Drop for SchedRestore {
     fn drop(&mut self) {
-        spsim::set_sched_mode(None);
         spsim::set_worker_cap(None);
     }
 }
 
 #[test]
-fn pooled_and_threaded_schedulers_produce_byte_identical_traces() {
+fn single_and_multi_worker_pools_produce_byte_identical_traces() {
     let _serial = SCHED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = SchedRestore;
 
-    spsim::set_sched_mode(Some(spsim::SchedMode::Threads));
-    let threads = run_once();
-
-    // Single worker first: the pool grows on demand but never shrinks, so
-    // the cap=1 run must precede the cap=4 run within this process.
-    spsim::set_sched_mode(Some(spsim::SchedMode::Pool));
     spsim::set_worker_cap(Some(1));
     let pool1 = run_once();
     spsim::set_worker_cap(Some(4));
     let pool4 = run_once();
 
-    assert!(!threads.is_empty(), "workload produced no trace events");
-    assert_eq!(
-        threads, pool1,
-        "thread-per-node and single-worker pooled runs diverged — a \
-         blocking point is leaking host scheduling into virtual time"
-    );
+    assert!(!pool1.is_empty(), "workload produced no trace events");
     assert_eq!(
         pool1, pool4,
-        "pooled runs diverged across worker counts — the scheduler's \
+        "pooled runs diverged across worker counts — a blocking point is \
+         leaking host scheduling into virtual time, or the scheduler's \
          dispatch order is reaching an ordering-sensitive path"
     );
 }
@@ -247,7 +230,7 @@ fn pooled_and_threaded_schedulers_produce_byte_identical_traces() {
 /// the sender is still reserving, and who reaches the link first is a host
 /// race.
 #[test]
-fn lossy_fabric_replays_identically_across_schedulers() {
+fn lossy_fabric_replays_identically_across_worker_counts() {
     let _serial = SCHED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = SchedRestore;
     let lossy = || {
@@ -256,7 +239,6 @@ fn lossy_fabric_replays_identically_across_schedulers() {
             .with_dup_prob(0.02)
     };
 
-    spsim::set_sched_mode(Some(spsim::SchedMode::Pool));
     spsim::set_worker_cap(Some(1));
     let reference = run_once_on(lossy());
     assert!(
@@ -264,12 +246,7 @@ fn lossy_fabric_replays_identically_across_schedulers() {
         "seed no longer loses a packet; pick one that does"
     );
     for round in 0..30 {
-        if round % 2 == 0 {
-            spsim::set_sched_mode(Some(spsim::SchedMode::Threads));
-        } else {
-            spsim::set_sched_mode(Some(spsim::SchedMode::Pool));
-            spsim::set_worker_cap(Some(4));
-        }
+        spsim::set_worker_cap(Some(if round % 2 == 0 { 4 } else { 1 }));
         assert_eq!(
             reference,
             run_once_on(lossy()),
@@ -279,42 +256,20 @@ fn lossy_fabric_replays_identically_across_schedulers() {
 }
 
 #[test]
-fn crash_replay_is_byte_identical_under_pooled_scheduler() {
+fn crash_replay_is_byte_identical_across_worker_counts() {
     let _serial = SCHED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = SchedRestore;
     let cfg = || MachineConfig::default().with_no_faults();
 
-    spsim::set_sched_mode(Some(spsim::SchedMode::Threads));
-    let threads = crash_run_once_on(cfg());
-
-    spsim::set_sched_mode(Some(spsim::SchedMode::Pool));
     spsim::set_worker_cap(Some(1));
-    let pooled = crash_run_once_on(cfg());
+    let pool1 = crash_run_once_on(cfg());
+    spsim::set_worker_cap(Some(4));
+    let pool4 = crash_run_once_on(cfg());
 
-    assert!(
-        !threads.is_empty(),
-        "crash workload produced no trace events"
-    );
+    assert!(!pool1.is_empty(), "crash workload produced no trace events");
     assert_eq!(
-        threads, pooled,
-        "crash replay diverged between schedulers — retransmit storms and \
+        pool1, pool4,
+        "crash replay diverged across worker counts — retransmit storms and \
          peer-death unwinding must not observe the worker pool"
-    );
-}
-
-/// The SPSC delivery rings are a drop-in replacement for the legacy
-/// `TimedQueue` delivery path: within the deterministic envelope a
-/// same-seed run must produce a byte-identical trace through either path,
-/// regardless of which one `SPSIM_DELIVERY` selects for the rest of the
-/// suite.
-#[test]
-fn legacy_heap_and_spsc_ring_paths_produce_byte_identical_traces() {
-    let heap = run_once_on(MachineConfig::default().with_delivery_path(DeliveryPath::Heap));
-    let rings = run_once_on(MachineConfig::default().with_delivery_path(DeliveryPath::Rings));
-    assert!(!heap.is_empty(), "workload produced no trace events");
-    assert_eq!(
-        heap, rings,
-        "delivery paths diverged — the ring path must reproduce the \
-         TimedQueue's (time, tie, seq) pop order exactly"
     );
 }

@@ -202,18 +202,18 @@ fn putv_survives_reordering_and_loss() {
 fn multiple_completion_threads_run_handlers_concurrently() {
     // §6 extension: with several completion threads, two slow completion
     // handlers overlap in *real* time (virtual cost is still charged to
-    // the single node clock). Real-time overlap is an OS-thread property:
-    // under the pooled M:N scheduler a 1-worker host would serialize the
-    // handlers (their `thread::sleep` blocks the worker), so this test
-    // pins the legacy thread-per-context runtime.
-    struct ModeGuard;
-    impl Drop for ModeGuard {
+    // the single node clock). Real-time overlap is an OS-thread property —
+    // a handler's `thread::sleep` blocks the worker it runs on — so this
+    // test asks for four workers. An explicit cap overrides `SPSIM_WORKERS`
+    // and the core count, so they exist even on a 1-core host.
+    struct CapGuard;
+    impl Drop for CapGuard {
         fn drop(&mut self) {
-            spsim::set_sched_mode(None);
+            spsim::set_worker_cap(None);
         }
     }
-    spsim::set_sched_mode(Some(spsim::SchedMode::Threads));
-    let _guard = ModeGuard;
+    spsim::set_worker_cap(Some(4));
+    let _guard = CapGuard;
     let ctxs = LapiWorld::init_ext(
         2,
         MachineConfig::default(),

@@ -8,18 +8,14 @@
 
 use lapi::{LapiWorld, Mode};
 use spsim::sched::counters;
-use spsim::{run_spmd_with, MachineConfig, SchedMode};
+use spsim::{run_spmd_with, MachineConfig};
 
 const WARM: usize = 500;
 const OPS: usize = 10_000;
 
 #[test]
 fn polling_ping_pong_on_one_worker_issues_no_kernel_notifies() {
-    spsim::set_sched_mode(Some(SchedMode::Pool));
     spsim::set_worker_cap(Some(1));
-    if spsim::sched_mode() != SchedMode::Pool {
-        return; // no fibers on this architecture: every node is a thread
-    }
     let cfg = MachineConfig::default().with_no_faults();
     let ctxs = LapiWorld::init_seeded(2, cfg, Mode::Polling, 13);
     let deltas = run_spmd_with(ctxs, |rank, ctx| {

@@ -13,31 +13,12 @@ use crate::fault::{FaultPlan, FaultProfile, LinkFaults};
 use crate::runtime::NodeId;
 use crate::time::VDur;
 
-/// Which receive-queue implementation the switch wires into each port.
-///
-/// Both paths deliver in the same `(timestamp, tie-break, push-order)`
-/// order, byte-identically under the same seed (asserted by
-/// `crates/lapi/tests/determinism.rs`); they differ only in wall-clock
-/// cost. Selectable per config so A/B tests and the benchmark baseline can
-/// pin either path, and via `SPSIM_DELIVERY=heap|rings` for whole-suite
-/// sweeps (mirroring `SPSIM_FAULT_PROFILE`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryPath {
-    /// SPSC circular rings per source lane (the fast path, default).
-    Rings,
-    /// The legacy mutex-protected timestamp heap (`TimedQueue`).
-    Heap,
-}
-
-impl DeliveryPath {
-    /// Read `SPSIM_DELIVERY` from the environment; unset or unrecognized
-    /// values select the default fast path.
-    pub fn from_env() -> Self {
-        match std::env::var("SPSIM_DELIVERY").as_deref() {
-            Ok("heap") | Ok("legacy") => DeliveryPath::Heap,
-            _ => DeliveryPath::Rings,
-        }
-    }
+/// Read environment knob `var` through its parser (`None` when unset). A
+/// value the parser rejects panics rather than selecting the default: a
+/// typo in a CI matrix must not turn one cell into a silent copy of another.
+pub(crate) fn env_knob<T>(var: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let v = std::env::var(var).ok()?;
+    Some(parse(&v).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Cost model and hardware parameters of the simulated RS/6000 SP.
@@ -109,10 +90,6 @@ pub struct MachineConfig {
     /// standalone packet this long after the oldest unacknowledged-on-the-
     /// wire delivery, even if the batch is not full.
     pub ack_delay: VDur,
-    /// Which receive-queue implementation the switch uses (see
-    /// [`DeliveryPath`]); purely a wall-clock/throughput knob, never a
-    /// virtual-time one.
-    pub delivery_path: DeliveryPath,
     /// Capacity of each SPSC delivery ring in packets (rounded up to a
     /// power of two). Must exceed the largest burst a sender can inject
     /// before the receiver drains; a full ring applies real-time
@@ -224,7 +201,6 @@ impl Default for MachineConfig {
             max_retransmits: 64,
             ack_every: 4,
             ack_delay: VDur::from_us(100),
-            delivery_path: DeliveryPath::from_env(),
             delivery_ring_capacity: 4096,
 
             lapi_put_issue: VDur::from_us(16),
@@ -316,14 +292,6 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style: set the adaptive-RTO clamps.
-    pub fn with_rto_bounds(mut self, min: VDur, max: VDur) -> Self {
-        assert!(min <= max, "rto_min must not exceed rto_max");
-        self.rto_min = min;
-        self.rto_max = max;
-        self
-    }
-
     /// Builder-style: force a perfectly clean fabric, overriding any
     /// env-selected fault profile. Exact-timing calibration tests use this
     /// so `SPSIM_FAULT_PROFILE=lossy` cannot shift their latencies.
@@ -363,21 +331,6 @@ impl MachineConfig {
             || self.dup_prob > 0.0
             || self.ack_drop_prob.is_some_and(|p| p > 0.0)
             || !self.faults.is_empty()
-    }
-
-    /// Builder-style: pin the delivery-queue implementation, overriding the
-    /// env-selected default (A/B determinism tests and the benchmark
-    /// baseline use this).
-    pub fn with_delivery_path(mut self, path: DeliveryPath) -> Self {
-        self.delivery_path = path;
-        self
-    }
-
-    /// Builder-style: set the per-lane SPSC ring capacity.
-    pub fn with_ring_capacity(mut self, packets: usize) -> Self {
-        assert!(packets >= 2, "a ring needs at least two slots");
-        self.delivery_ring_capacity = packets;
-        self
     }
 
     /// Builder-style: set `MP_EAGER_LIMIT` (clamped to the maximum, like

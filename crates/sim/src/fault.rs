@@ -33,12 +33,6 @@ impl LinkFaults {
         drop_prob: 0.0,
         dup_prob: 0.0,
     };
-
-    /// Can this link misbehave at all?
-    #[inline]
-    pub fn is_clean(&self) -> bool {
-        self.drop_prob == 0.0 && self.dup_prob == 0.0
-    }
 }
 
 /// A scripted interval during which a directed link black-holes every
@@ -214,11 +208,6 @@ impl FaultPlan {
                 _ => None,
             })
             .unwrap_or(1)
-    }
-
-    /// Does the plan contain any node-level fault at all?
-    pub fn has_node_faults(&self) -> bool {
-        !self.node_faults.is_empty()
     }
 
     /// All node faults, in builder order.
@@ -426,15 +415,27 @@ pub enum FaultProfile {
 }
 
 impl FaultProfile {
-    /// Read `SPSIM_FAULT_PROFILE` once per process. Unset or unrecognized
-    /// values mean [`FaultProfile::Lossless`].
+    /// A `SPSIM_FAULT_PROFILE` value; empty means unset (CI passes `""`).
+    pub fn parse(v: &str) -> Result<FaultProfile, String> {
+        match v {
+            "" | "lossless" => Ok(FaultProfile::Lossless),
+            "lossy" => Ok(FaultProfile::Lossy),
+            "chaos" => Ok(FaultProfile::Chaos),
+            _ => Err(format!(
+                "SPSIM_FAULT_PROFILE={v:?} is not accepted: expected lossless, lossy or chaos, \
+                 or empty for lossless"
+            )),
+        }
+    }
+
+    /// Read `SPSIM_FAULT_PROFILE` once per process. Unset means
+    /// [`FaultProfile::Lossless`]; an unrecognized value panics.
     pub fn from_env() -> FaultProfile {
         use std::sync::OnceLock;
         static PROFILE: OnceLock<FaultProfile> = OnceLock::new();
-        *PROFILE.get_or_init(|| match std::env::var("SPSIM_FAULT_PROFILE").as_deref() {
-            Ok("lossy") => FaultProfile::Lossy,
-            Ok("chaos") => FaultProfile::Chaos,
-            _ => FaultProfile::Lossless,
+        *PROFILE.get_or_init(|| {
+            crate::config::env_knob("SPSIM_FAULT_PROFILE", FaultProfile::parse)
+                .unwrap_or(FaultProfile::Lossless)
         })
     }
 
@@ -637,5 +638,21 @@ mod tests {
         assert_eq!(FaultProfile::Lossless.probabilities(), (0.0, 0.0));
         assert_eq!(FaultProfile::Lossy.probabilities(), (0.10, 0.02));
         assert_eq!(FaultProfile::Chaos.probabilities(), (0.30, 0.10));
+    }
+
+    #[test]
+    fn profile_parser_rejects_what_it_does_not_know() {
+        assert_eq!(FaultProfile::parse(""), Ok(FaultProfile::Lossless));
+        assert_eq!(FaultProfile::parse("lossless"), Ok(FaultProfile::Lossless));
+        assert_eq!(FaultProfile::parse("lossy"), Ok(FaultProfile::Lossy));
+        assert_eq!(FaultProfile::parse("chaos"), Ok(FaultProfile::Chaos));
+        for bad in ["losy", "LOSSY", "lossy ", "1"] {
+            let msg = FaultProfile::parse(bad).expect_err(bad);
+            assert!(
+                msg.contains("SPSIM_FAULT_PROFILE") && msg.contains(bad),
+                "{msg}"
+            );
+            assert!(msg.contains("lossless, lossy or chaos"), "{msg}");
+        }
     }
 }

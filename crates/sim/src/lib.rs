@@ -2,8 +2,7 @@
 //!
 //! This crate provides the substrate on which the LAPI reproduction runs:
 //! every simulated SP *node* is a cooperative task multiplexed M:N onto a
-//! fixed worker pool ([`sched`]; `SPSIM_SCHED=threads` restores the legacy
-//! thread-per-node runtime), and time is **virtual**.
+//! fixed worker pool ([`sched`]), and time is **virtual**.
 //! Each node owns a [`VClock`] — a monotonically advancing virtual-nanosecond
 //! counter. CPU work performed by the communication libraries is charged to
 //! the clock with [`VClock::advance`]; messages carry virtual timestamps, and
@@ -18,9 +17,13 @@
 //! * [`VClock`] — a shareable per-node clock.
 //! * [`MachineConfig`] — the calibrated cost model of the simulated SP
 //!   (packet sizes, wire bandwidth, software overheads, interrupt costs).
-//! * [`TimedQueue`] — a blocking queue whose elements carry virtual
-//!   timestamps; receiving merges the element's timestamp into the caller's
-//!   clock. This is how packet arrival times propagate between node threads.
+//! * [`DeliveryRings`] — *the* packet-delivery queue: one SPSC ring per
+//!   source lane, popped in virtual-timestamp order; receiving merges the
+//!   element's timestamp into the caller's clock. This is how packet
+//!   arrival times propagate between nodes.
+//! * [`TimedQueue`] — the multi-producer timestamp heap: the LAPI engine's
+//!   completion-work queue, and the ordering reference the rings are tested
+//!   against.
 //! * [`VBarrier`] — a barrier that aligns the virtual clocks of all
 //!   participants (to the maximum, plus a configurable cost).
 //! * [`run_spmd`] — run `n` node tasks executing the same closure
@@ -55,21 +58,48 @@ pub mod trace;
 
 pub use barrier::VBarrier;
 pub use clock::VClock;
-pub use config::{DeliveryPath, MachineConfig};
+pub use config::MachineConfig;
 pub use diag::OrDiag;
 pub use fault::{FaultPlan, FaultProfile, FaultWindow, LinkFaults, NodeFault};
 pub use mutation::Mutant;
 pub use queue::{QueueClosed, Stamped, TimedQueue};
 pub use rng::SimRng;
 pub use runtime::{
-    run_spmd, run_spmd_with, schedule_tiebreak, set_schedule_tiebreak, spawn_service, NodeId,
-    ServiceHandle,
+    run_spmd, run_spmd_with, set_schedule_tiebreak, spawn_service, NodeId, ServiceHandle,
 };
-pub use sched::{
-    on_fiber, sched_mode, set_sched_mode, set_worker_cap, yield_now, SchedMode, SimCondvar,
-    SimWaitTimeoutResult,
-};
-pub use spsc::{DeliveryQueue, DeliveryRings};
+pub use sched::{set_worker_cap, yield_now, SimCondvar, SimWaitTimeoutResult};
+pub use spsc::DeliveryRings;
 pub use stats::{Histogram, StatCounter};
 pub use time::{VDur, VTime};
 pub use trace::{EventKind, Timeline, TraceEvent, TraceSession, TraceSink};
+
+// Source compatibility for the frozen `benchmark/` (probes.rs:29 `DeliveryQueue::Rings(..)`,
+// lanes/mod.rs:22 `with_delivery_path(DeliveryPath::Rings)`, main.rs:679 `set_sched_mode(..)`);
+// used by nothing in-tree. The next PR that may edit `benchmark/` deletes this block.
+#[doc(hidden)]
+mod compat {
+    pub enum SchedMode {
+        Pool,
+    }
+    pub fn set_sched_mode(_: Option<SchedMode>) {}
+    pub enum DeliveryPath {
+        Rings,
+    }
+    impl crate::MachineConfig {
+        pub fn with_delivery_path(self, _: DeliveryPath) -> Self {
+            self
+        }
+    }
+    pub enum DeliveryQueue<T> {
+        Rings(crate::DeliveryRings<T>),
+    }
+    impl<T> std::ops::Deref for DeliveryQueue<T> {
+        type Target = crate::DeliveryRings<T>;
+        fn deref(&self) -> &Self::Target {
+            let DeliveryQueue::Rings(q) = self;
+            q
+        }
+    }
+}
+#[doc(hidden)]
+pub use compat::{set_sched_mode, DeliveryPath, DeliveryQueue, SchedMode};

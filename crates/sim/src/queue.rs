@@ -1,12 +1,14 @@
 //! Blocking queues that carry virtual timestamps.
 //!
-//! A [`TimedQueue`] connects node threads: the producer stamps each element
-//! with the virtual time at which the corresponding event becomes visible
-//! (e.g. a packet's arrival at an adapter), and the consumer's clock is
-//! pulled forward to that time when it takes the element out. Elements are
+//! A [`TimedQueue`] is the multi-producer timestamp heap: the LAPI engine's
+//! completion-work queue, and the reference whose `(time, tie, seq)` pop
+//! order the packet-delivery rings ([`crate::spsc`]) are tested against.
+//! The producer stamps each element with the virtual time at which the
+//! corresponding event becomes visible, and the consumer's clock is pulled
+//! forward to that time when it takes the element out. Elements are
 //! delivered in *timestamp order* among those currently enqueued — a
-//! min-heap, not FIFO — so a packet that took a faster route is handed to
-//! the dispatcher first even if it was pushed later in real time.
+//! min-heap, not FIFO — so an event stamped earlier is handed out first
+//! even if it was pushed later in real time.
 //!
 //! Blocking receives carry a real-time escape hatch: a simulated deadlock
 //! (e.g. polling-mode LAPI with nobody polling) would otherwise hang the
@@ -22,7 +24,6 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::clock::VClock;
-use crate::diag::OrDiag;
 use crate::sched::SimCondvar;
 use crate::time::VTime;
 
@@ -42,11 +43,14 @@ pub struct Stamped<T> {
     pub item: T,
 }
 
-struct Entry<T> {
-    at: VTime,
-    tie: u64,
-    seq: u64,
-    item: T,
+/// One queued element and its place in the pop order — shared with the
+/// delivery rings ([`crate::spsc`]), so both queues order by construction
+/// the same way.
+pub(crate) struct Entry<T> {
+    pub(crate) at: VTime,
+    pub(crate) tie: u64,
+    pub(crate) seq: u64,
+    pub(crate) item: T,
 }
 
 // BinaryHeap is a max-heap; invert ordering to pop the earliest timestamp,
@@ -176,11 +180,6 @@ impl<T> TimedQueue<T> {
         self.inner.cond.notify_all();
     }
 
-    /// Has `close` been called?
-    pub fn is_closed(&self) -> bool {
-        self.inner.heap.lock().closed
-    }
-
     /// Number of elements currently enqueued — a lock-free hint read from
     /// an atomic mirror of the heap length (exact when quiescent,
     /// momentarily stale against concurrent pushes/pops). Hot poll loops
@@ -196,49 +195,25 @@ impl<T> TimedQueue<T> {
         self.len() == 0
     }
 
-    /// Record that one element left the heap (caller holds the heap lock).
-    fn note_pop(&self) {
+    /// Take the earliest element off the heap (caller holds the heap lock).
+    fn pop(&self, st: &mut HeapState<T>) -> Option<Stamped<T>> {
+        let e = st.heap.pop()?;
         // ordering: Relaxed — hint mirror, see `len`.
         self.inner.depth.fetch_sub(1, Ordering::Relaxed);
+        Some(Stamped {
+            at: e.at,
+            item: e.item,
+        })
     }
 
     /// Nonblocking: take the earliest-stamped element, regardless of its
     /// timestamp. Returns `Ok(None)` when empty and open.
     pub fn try_recv(&self) -> Result<Option<Stamped<T>>, QueueClosed> {
         let mut st = self.inner.heap.lock();
-        match st.heap.pop() {
-            Some(e) => {
-                self.note_pop();
-                Ok(Some(Stamped {
-                    at: e.at,
-                    item: e.item,
-                }))
-            }
+        match self.pop(&mut st) {
+            Some(s) => Ok(Some(s)),
             None if st.closed => Err(QueueClosed),
             None => Ok(None),
-        }
-    }
-
-    /// Nonblocking poll at virtual time `now`: take the earliest element
-    /// only if its timestamp is `<= now` — i.e. only events that have
-    /// already happened from the poller's perspective.
-    pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let mut st = self.inner.heap.lock();
-        if let Some(top) = st.heap.peek() {
-            if top.at <= now {
-                let e = st.heap.pop().or_diag("heap emptied between peek and pop");
-                self.note_pop();
-                return Ok(Some(Stamped {
-                    at: e.at,
-                    item: e.item,
-                }));
-            }
-            return Ok(None);
-        }
-        if st.closed {
-            Err(QueueClosed)
-        } else {
-            Ok(None)
         }
     }
 
@@ -249,56 +224,42 @@ impl<T> TimedQueue<T> {
     ///
     /// Panics if the real-time escape elapses (simulated deadlock).
     pub fn recv_merge(&self, clock: &VClock) -> Result<Stamped<T>, QueueClosed> {
-        let mut st = self.inner.heap.lock();
-        // liveness: every push and close notifies `cond`; wait_for is
-        // bounded by the escape and panics with a diagnostic on timeout.
-        loop {
-            if let Some(e) = st.heap.pop() {
-                self.note_pop();
-                drop(st);
-                clock.merge(e.at);
-                return Ok(Stamped {
-                    at: e.at,
-                    item: e.item,
-                });
+        match self.recv_inner(None)? {
+            Some(s) => {
+                clock.merge(s.at);
+                Ok(s)
             }
-            if st.closed {
-                return Err(QueueClosed);
-            }
-            st.waiters += 1;
-            let timed_out = self.inner.cond.wait_for(&mut st, self.escape).timed_out();
-            st.waiters -= 1;
-            if timed_out {
-                panic!(
-                    "TimedQueue::recv_merge: no event within {:?} of real time — \
-                     the simulated program is deadlocked (is anyone making progress? \
-                     polling-mode LAPI requires the target to poll)\n\
-                     queue: len={} closed={} waiter-clock={}ns\n{}",
-                    self.escape,
-                    st.heap.len(),
-                    st.closed,
-                    clock.now().as_ns(),
-                    crate::trace::tail_report(crate::trace::REPORT_TAIL)
-                );
-            }
+            None => panic!(
+                "TimedQueue::recv_merge: no event within {:?} of real time — \
+                 the simulated program is deadlocked (is anyone making progress? \
+                 polling-mode LAPI requires the target to poll)\n\
+                 queue: len={} waiter-clock={}ns\n{}",
+                self.escape,
+                self.len(),
+                clock.now().as_ns(),
+                crate::trace::tail_report(crate::trace::REPORT_TAIL)
+            ),
         }
     }
 
     /// Blocking receive bounded by `dur` of *real* time: `Ok(None)` on
     /// timeout. Used by service loops that must periodically re-check
-    /// control state (e.g. the LAPI dispatcher watching for mode changes).
+    /// control state (e.g. the LAPI completion service watching for
+    /// termination).
     pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let deadline = std::time::Instant::now() + dur;
+        self.recv_inner(Some(dur))
+    }
+
+    /// Shared blocking core: `Ok(None)` means the wait bound elapsed
+    /// (`bound` = `None` uses the escape; the caller panics in that case).
+    fn recv_inner(&self, bound: Option<Duration>) -> Result<Option<Stamped<T>>, QueueClosed> {
+        let deadline = std::time::Instant::now() + bound.unwrap_or(self.escape);
         let mut st = self.inner.heap.lock();
         // liveness: every push and close notifies `cond`; wait_until is
-        // bounded by the caller's deadline, returning Ok(None) on timeout.
+        // bounded by the deadline, returning Ok(None) on timeout.
         loop {
-            if let Some(e) = st.heap.pop() {
-                self.note_pop();
-                return Ok(Some(Stamped {
-                    at: e.at,
-                    item: e.item,
-                }));
+            if let Some(s) = self.pop(&mut st) {
+                return Ok(Some(s));
             }
             if st.closed {
                 return Err(QueueClosed);
@@ -311,64 +272,11 @@ impl<T> TimedQueue<T> {
             }
         }
     }
-
-    /// Blocking receive without a clock (used by service threads that own
-    /// no clock of their own; the timestamp is returned for manual merging).
-    pub fn recv(&self) -> Result<Stamped<T>, QueueClosed> {
-        let mut st = self.inner.heap.lock();
-        // liveness: every push and close notifies `cond`; wait_for is
-        // bounded by the escape and panics with a diagnostic on timeout.
-        loop {
-            if let Some(e) = st.heap.pop() {
-                self.note_pop();
-                return Ok(Stamped {
-                    at: e.at,
-                    item: e.item,
-                });
-            }
-            if st.closed {
-                return Err(QueueClosed);
-            }
-            st.waiters += 1;
-            let timed_out = self.inner.cond.wait_for(&mut st, self.escape).timed_out();
-            st.waiters -= 1;
-            if timed_out {
-                panic!(
-                    "TimedQueue::recv: no event within {:?} of real time — \
-                     the simulated program is deadlocked\n\
-                     queue: len={} closed={}\n{}",
-                    self.escape,
-                    st.heap.len(),
-                    st.closed,
-                    crate::trace::tail_report(crate::trace::REPORT_TAIL)
-                );
-            }
-        }
-    }
-
-    /// Drain every element whose timestamp is `<= now`, in timestamp order.
-    pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
-        let mut out = Vec::new();
-        let mut st = self.inner.heap.lock();
-        while let Some(top) = st.heap.peek() {
-            if top.at > now {
-                break;
-            }
-            let e = st.heap.pop().or_diag("heap emptied between peek and pop");
-            self.note_pop();
-            out.push(Stamped {
-                at: e.at,
-                item: e.item,
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::VDur;
     use std::thread;
 
     #[test]
@@ -464,19 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_ready_respects_now() {
-        let q = TimedQueue::new();
-        q.push(VTime::from_us(50), ());
-        assert!(q.try_recv_ready(VTime::from_us(10)).unwrap().is_none());
-        assert!(q.try_recv_ready(VTime::from_us(50)).unwrap().is_some());
-        assert!(q.try_recv_ready(VTime::from_us(99)).unwrap().is_none());
-    }
-
-    #[test]
     fn close_unblocks_and_reports() {
         let q: TimedQueue<()> = TimedQueue::new();
         let q2 = q.clone();
-        let h = thread::spawn(move || q2.recv());
+        let h = thread::spawn(move || q2.recv_merge(&VClock::new()));
         thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), Err(QueueClosed));
@@ -572,20 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_ready_takes_prefix() {
-        let q = TimedQueue::new();
-        for i in 0..5u64 {
-            q.push(VTime::from_us(i * 10), i);
-        }
-        let got = q.drain_ready(VTime::from_us(25));
-        assert_eq!(
-            got.iter().map(|s| s.item).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "deadlocked")]
     fn escape_hatch_panics() {
         let q: TimedQueue<()> = TimedQueue::with_escape(Duration::from_millis(30));
@@ -611,25 +496,5 @@ mod tests {
         q.push(VTime::ZERO, 1);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn clock_advance_vs_queue_interleaving() {
-        // A consumer that alternates polling and working sees events only
-        // once its virtual time passes their stamps.
-        let q = TimedQueue::new();
-        q.push(VTime::from_us(12), ());
-        let clock = VClock::new();
-        let mut polls = 0;
-        loop {
-            match q.try_recv_ready(clock.now()).unwrap() {
-                Some(_) => break,
-                None => {
-                    clock.advance(VDur::from_us(5));
-                    polls += 1;
-                }
-            }
-        }
-        assert_eq!(polls, 3); // at t=5,10 nothing; ready at t=15
     }
 }

@@ -7,11 +7,8 @@
 //! queue escape hatches), so a failing simulated program fails the test
 //! that ran it.
 //!
-//! By default nodes are cooperative tasks multiplexed M:N onto the fixed
-//! worker pool in [`crate::sched`] — a 1024-node job costs a handful of OS
-//! threads. `SPSIM_SCHED=threads` (or [`crate::sched::set_sched_mode`])
-//! selects the legacy thread-per-node runtime, kept as an escape hatch and
-//! as the differential baseline for the scheduler-equivalence tests.
+//! Nodes are cooperative tasks multiplexed M:N onto the fixed worker pool
+//! in [`crate::sched`] — a 1024-node job costs a handful of OS threads.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -19,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use crate::diag::OrDiag;
-use crate::sched::{self, SchedMode};
+use crate::sched;
 
 /// Rank of a simulated node within its job, `0..n`.
 pub type NodeId = usize;
@@ -56,16 +53,6 @@ pub fn set_schedule_tiebreak(seed: Option<u64>) {
     }
 }
 
-/// The currently armed tie-break seed, if any.
-pub fn schedule_tiebreak() -> Option<u64> {
-    // ordering: read under the same caller-side serialization as set().
-    if TIEBREAK_ON.load(Ordering::Relaxed) {
-        Some(TIEBREAK_SEED.load(Ordering::Relaxed))
-    } else {
-        None
-    }
-}
-
 /// Tie-break key for the `n`-th element pushed onto a queue: the insertion
 /// sequence itself when the hook is disarmed, or a SplitMix64 hash of
 /// (seed, seq) when armed — a deterministic pseudo-random permutation of
@@ -91,43 +78,18 @@ pub(crate) fn tiebreak_key(seq: u64) -> u64 {
 ///
 /// # Safety
 /// The caller must not let any borrow captured by `f` end before the job
-/// has finished running. `run_spmd`/`run_spmd_with` uphold this by joining
-/// every node task before they return — the same guarantee
-/// `std::thread::scope` provides for the legacy path.
+/// has finished running. `run_spmd_with` upholds this by joining every node
+/// task before it returns — the guarantee `std::thread::scope` gives
+/// scoped threads.
 unsafe fn erase_job<'a>(f: Box<dyn FnOnce() + Send + 'a>) -> Box<dyn FnOnce() + Send + 'static> {
     std::mem::transmute(f)
 }
 
-/// Pooled SPMD execution: one scheduler task per rank, results collected
-/// into rank-indexed slots, tasks joined in rank order.
-fn run_pooled<R, J>(n: usize, mut job_for: J) -> Vec<thread::Result<R>>
-where
-    R: Send,
-    J: FnMut(usize, Arc<Mutex<Vec<Option<thread::Result<R>>>>>) -> Box<dyn FnOnce() + Send>,
-{
-    let slots: Arc<Mutex<Vec<Option<thread::Result<R>>>>> =
-        Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let tasks: Vec<_> = (0..n)
-        .map(|rank| {
-            let job = job_for(rank, Arc::clone(&slots));
-            sched::spawn(format!("sp-node-{rank}"), job)
-        })
-        .collect();
-    for t in &tasks {
-        sched::join_task(t);
-    }
-    let mut got = slots.lock().unwrap_or_else(|e| e.into_inner());
-    got.drain(..)
-        .map(|s| s.or_diag("node task finished without reporting a result"))
-        .collect()
-}
-
 /// Run `f(rank)` on `n` simulated nodes and collect results in rank order.
 ///
-/// Under the default pooled scheduler each node is a cooperative task;
-/// under `SPSIM_SCHED=threads` each node is an OS thread, as before the
-/// M:N runtime. Same seed ⇒ same results and traces under either mode and
-/// any worker count (asserted by the determinism suite).
+/// Each node is a cooperative task on the worker pool. Same seed ⇒ same
+/// results and traces at any worker count (asserted by the determinism
+/// suite).
 ///
 /// When event tracing is active (see [`crate::trace::session`]), the
 /// per-node ring buffers are drained into the global sink's merged timeline
@@ -140,37 +102,7 @@ where
     R: Send,
     F: Fn(NodeId) -> R + Sync,
 {
-    assert!(n > 0, "SPMD job needs at least one node");
-    let f = &f;
-    let outcomes: Vec<thread::Result<R>> = match sched::sched_mode() {
-        SchedMode::Pool => run_pooled(n, |rank, slots| {
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let out = catch_unwind(AssertUnwindSafe(|| f(rank)));
-                slots.lock().unwrap_or_else(|e| e.into_inner())[rank] = Some(out);
-            });
-            // Safety: run_pooled joins every node task before returning.
-            unsafe { erase_job(job) }
-        }),
-        SchedMode::Threads => {
-            let mut outcomes = Vec::with_capacity(n);
-            thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|rank| {
-                        thread::Builder::new()
-                            .name(format!("sp-node-{rank}"))
-                            .spawn_scoped(s, move || catch_unwind(AssertUnwindSafe(|| f(rank))))
-                            .or_diag("spawn node thread")
-                    })
-                    .collect();
-                for h in handles {
-                    outcomes.push(h.join().or_diag("node thread itself must not die"));
-                }
-            });
-            outcomes
-        }
-    };
-    crate::trace::TraceSink::global().seal();
-    collect_or_panic(outcomes)
+    run_spmd_with(vec![(); n], |rank, ()| f(rank))
 }
 
 /// Like [`run_spmd`], but each node consumes a pre-built, possibly
@@ -182,65 +114,48 @@ where
     F: Fn(NodeId, C) -> R + Sync,
 {
     assert!(!ctxs.is_empty(), "SPMD job needs at least one node");
-    let n = ctxs.len();
     let f = &f;
-    let outcomes: Vec<thread::Result<R>> = match sched::sched_mode() {
-        SchedMode::Pool => {
-            let mut ctxs: Vec<Option<C>> = ctxs.into_iter().map(Some).collect();
-            run_pooled(n, |rank, slots| {
-                let ctx = ctxs[rank].take().or_diag("node context consumed twice");
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(move || f(rank, ctx)));
-                    slots.lock().unwrap_or_else(|e| e.into_inner())[rank] = Some(out);
-                });
-                // Safety: run_pooled joins every node task before returning.
-                unsafe { erase_job(job) }
-            })
-        }
-        SchedMode::Threads => {
-            let mut outcomes = Vec::with_capacity(n);
-            thread::scope(|s| {
-                let handles: Vec<_> = ctxs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, ctx)| {
-                        thread::Builder::new()
-                            .name(format!("sp-node-{rank}"))
-                            .spawn_scoped(s, move || {
-                                catch_unwind(AssertUnwindSafe(move || f(rank, ctx)))
-                            })
-                            .or_diag("spawn node thread")
-                    })
-                    .collect();
-                for h in handles {
-                    outcomes.push(h.join().or_diag("node thread itself must not die"));
-                }
+    // One scheduler task per rank, results collected into rank-indexed
+    // slots, tasks joined in rank order.
+    let slots: Arc<Mutex<Vec<Option<thread::Result<R>>>>> =
+        Arc::new(Mutex::new(ctxs.iter().map(|_| None).collect()));
+    let tasks: Vec<_> = ctxs
+        .into_iter()
+        .enumerate()
+        .map(|(rank, ctx)| {
+            let slots = Arc::clone(&slots);
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let out = catch_unwind(AssertUnwindSafe(move || f(rank, ctx)));
+                slots.lock().unwrap_or_else(|e| e.into_inner())[rank] = Some(out);
             });
-            outcomes
-        }
-    };
+            // SAFETY: every node task is joined below, before `f` (which
+            // the job borrows) can go away.
+            sched::spawn(format!("sp-node-{rank}"), unsafe { erase_job(job) })
+        })
+        .collect();
+    for t in &tasks {
+        sched::join_task(t);
+    }
     crate::trace::TraceSink::global().seal();
-    collect_or_panic(outcomes)
+    let mut got = slots.lock().unwrap_or_else(|e| e.into_inner());
+    collect_or_panic(
+        got.drain(..)
+            .map(|s| s.or_diag("node task finished without reporting a result"))
+            .collect(),
+    )
 }
 
 /// Handle to a named engine service (dispatcher, completion handler)
 /// spawned by [`spawn_service`] — the *only* sanctioned way for simulated
 /// code to hold onto a running execution context.
 ///
-/// Under the pooled scheduler the service is a task on the worker pool;
-/// under `SPSIM_SCHED=threads` it is a dedicated OS thread. Lint rule A4
-/// bans `std::thread::spawn`/`JoinHandle` (and raw condvar waits) in every
-/// virtual-time crate except the runtime and the scheduler, so services
-/// cannot bypass this seam.
+/// The service is a task on the worker pool. Lint rule A4 bans
+/// `std::thread::spawn`/`JoinHandle` (and raw condvar waits) in every
+/// virtual-time crate except the scheduler, so services cannot bypass this
+/// seam.
 #[derive(Debug)]
 pub struct ServiceHandle {
-    inner: ServiceImpl,
-}
-
-#[derive(Debug)]
-enum ServiceImpl {
-    Thread(thread::JoinHandle<()>),
-    Task(Arc<sched::Task>),
+    task: Arc<sched::Task>,
 }
 
 impl ServiceHandle {
@@ -248,47 +163,23 @@ impl ServiceHandle {
     /// payload (same contract as `std::thread::JoinHandle::join`). Safe to
     /// call from a node fiber (it parks) or a plain thread (it blocks).
     pub fn join(self) -> thread::Result<()> {
-        match self.inner {
-            ServiceImpl::Thread(h) => h.join(),
-            ServiceImpl::Task(t) => {
-                sched::join_task(&t);
-                match sched::take_panic(&t) {
-                    Some(p) => Err(p),
-                    None => Ok(()),
-                }
-            }
-        }
-    }
-
-    /// Has the service already finished?
-    pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            ServiceImpl::Thread(h) => h.is_finished(),
-            ServiceImpl::Task(t) => t.is_finished(),
+        sched::join_task(&self.task);
+        match sched::take_panic(&self.task) {
+            Some(p) => Err(p),
+            None => Ok(()),
         }
     }
 }
 
 /// Spawn a named engine service (dispatcher, completion handler) on the
-/// worker pool — or, in `SPSIM_SCHED=threads` mode, on its own OS thread.
+/// worker pool.
 ///
 /// # Panics
-/// Panics if the OS refuses to spawn a thread — service creation happens
-/// at world setup time where that is unrecoverable anyway.
+/// Panics if the OS refuses to spawn a worker thread — service creation
+/// happens at world setup time where that is unrecoverable anyway.
 pub fn spawn_service(name: String, f: impl FnOnce() + Send + 'static) -> ServiceHandle {
-    match sched::sched_mode() {
-        SchedMode::Pool => ServiceHandle {
-            inner: ServiceImpl::Task(sched::spawn(name, Box::new(f))),
-        },
-        SchedMode::Threads => {
-            let inner = thread::Builder::new()
-                .name(name)
-                .spawn(f)
-                .or_diag("spawn service thread");
-            ServiceHandle {
-                inner: ServiceImpl::Thread(inner),
-            }
-        }
+    ServiceHandle {
+        task: sched::spawn(name, Box::new(f)),
     }
 }
 

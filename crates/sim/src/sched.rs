@@ -1,24 +1,24 @@
-//! M:N cooperative node scheduler.
+//! M:N cooperative node scheduler — the simulator's one runtime.
 //!
-//! The SP machine of the paper ran jobs at hundreds-to-1024 nodes; a
-//! thread-per-node runtime caps the simulator at a few dozen. This module
-//! multiplexes every simulated execution context — node bodies and the
-//! engine service loops folded through [`crate::runtime::spawn_service`] —
-//! onto a small fixed pool of OS workers, so a 1024-node job costs
-//! `~workers` threads instead of ~3000.
+//! The SP machine of the paper ran jobs at hundreds-to-1024 nodes. This
+//! module multiplexes every simulated execution context — node bodies and
+//! the engine service loops spawned through
+//! [`crate::runtime::spawn_service`] — onto a small fixed pool of OS
+//! workers, so a 1024-node job costs `~workers` threads instead of ~3000.
 //!
 //! The pieces:
 //!
 //! * **Fibers** — each task owns a stack and is entered/left with a
-//!   16-instruction x86-64 context switch ([`spsim_ctx_switch`]). A task's
+//!   16-instruction x86-64 context switch (`spsim_ctx_switch`). A task's
 //!   blocking points (queue waits, barrier parks, engine condvars) switch
 //!   back to the worker instead of blocking the OS thread, which is what
 //!   keeps a 1-core host (`SPSIM_WORKERS=1`) live: a single worker round-
 //!   robins every runnable task.
 //! * **[`SimCondvar`]** — a condition variable whose waiters park through
-//!   the scheduler when called from a fiber and fall back to the raw
-//!   condvar on plain threads, so the same call sites serve both the
-//!   pooled and the legacy `SPSIM_SCHED=threads` runtime.
+//!   the scheduler when called from a fiber and wait on a raw condvar when
+//!   called from a plain thread: test bodies and harness main threads wait
+//!   on simulated primitives from outside any fiber, so the same call
+//!   sites serve both.
 //! * **Timers with quiescent fast-forward** — every blocking wait in the
 //!   simulator carries a wall-clock deadline (poll/dispatch ticks, escape
 //!   hatches). When every task is parked and nothing is runnable, real
@@ -27,82 +27,47 @@
 //!   the pool fires the earliest deadline immediately. A budget — at most
 //!   one full cycle of pending timers per external progress signal —
 //!   stops that from busy-spinning when a timeout genuinely needs wall
-//!   time to pass (deadlock escapes keep their legacy pacing).
+//!   time to pass (deadlock escapes keep their wall-clock pacing).
 //!
 //! Determinism: traces and results are functions of virtual timestamps and
-//! queue insertion sequence only — the existing determinism suite already
-//! passes under freely racing OS threads — so any correct scheduler,
-//! pooled or not, at any worker count, reproduces them byte-for-byte.
-//! `determinism.rs` asserts exactly that.
+//! queue insertion sequence only, so the pool reproduces them byte-for-byte
+//! at any worker count — one worker round-robining every task, or several
+//! genuinely racing. `crates/lapi/tests/determinism.rs` asserts exactly that.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::config::env_knob;
 use crate::diag::OrDiag;
 
-// ------------------------------------------------------------------ mode
-
-/// How the runtime executes simulated contexts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// M:N on the worker pool (the default).
-    Pool,
-    /// Legacy thread-per-node / thread-per-service (`SPSIM_SCHED=threads`)
-    /// — the escape hatch and differential baseline.
-    Threads,
-}
-
-// 0 = no override, 1 = Pool, 2 = Threads.
-static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatically force the scheduler mode (`None` restores the
-/// `SPSIM_SCHED` environment default). Process-global, like
-/// [`crate::runtime::set_schedule_tiebreak`]: callers that flip it around a
-/// simulated run must serialize those runs and restore it afterwards.
-pub fn set_sched_mode(mode: Option<SchedMode>) {
-    // ordering: callers serialize whole runs around this hook (see above),
-    // so no simulated thread races the store.
-    MODE_OVERRIDE.store(
-        match mode {
-            None => 0,
-            Some(SchedMode::Pool) => 1,
-            Some(SchedMode::Threads) => 2,
-        },
-        Ordering::Relaxed, // ordering: see serialization note above
-    );
-}
-
-fn env_mode() -> SchedMode {
-    static ENV: OnceLock<SchedMode> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        match std::env::var("SPSIM_SCHED").as_deref() {
-            Ok("threads") => SchedMode::Threads,
-            // Anything else (unset, "pool", typos) runs pooled: the default.
-            _ => SchedMode::Pool,
-        }
-    })
-}
-
-/// The scheduler mode in effect for newly created contexts.
-pub fn sched_mode() -> SchedMode {
-    if !FIBERS_SUPPORTED {
-        return SchedMode::Threads;
-    }
-    // ordering: see set_sched_mode — flips are serialized between runs.
-    match MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SchedMode::Pool,
-        2 => SchedMode::Threads,
-        _ => env_mode(),
-    }
-}
-
 // --------------------------------------------------------------- workers
+
+/// An integer knob with a floor; empty means unset (CI passes `""`).
+fn parse_at_least(var: &str, v: &str, min: usize, unset: &str) -> Result<Option<usize>, String> {
+    if v.is_empty() {
+        return Ok(None);
+    }
+    match v.parse::<usize>() {
+        Ok(n) if n >= min => Ok(Some(n)),
+        _ => Err(format!(
+            "{var}={v:?} is not accepted: expected an integer ≥ {min}, or empty for {unset}"
+        )),
+    }
+}
+
+fn parse_workers(v: &str) -> Result<Option<usize>, String> {
+    parse_at_least("SPSIM_WORKERS", v, 1, "the host core count")
+}
+
+fn parse_stack_kb(v: &str) -> Result<Option<usize>, String> {
+    parse_at_least("SPSIM_STACK_KB", v, 32, "512")
+}
 
 // 0 = no override; otherwise the forced worker-pool cap.
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -110,9 +75,12 @@ static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Programmatically cap the worker pool (`None` restores the
 /// `SPSIM_WORKERS`/core-count default). Workers already spawned above a
 /// lowered cap go idle rather than exiting; raising the cap re-engages
-/// them. Same process-global serialization contract as [`set_sched_mode`].
+/// them. Process-global, like [`crate::runtime::set_schedule_tiebreak`]:
+/// callers that flip it around a simulated run must serialize those runs
+/// and restore it afterwards.
 pub fn set_worker_cap(cap: Option<usize>) {
-    // ordering: serialized between runs by the caller, like set_sched_mode.
+    // ordering: callers serialize whole runs around this hook (see above),
+    // so no simulated thread races the store.
     WORKER_OVERRIDE.store(cap.unwrap_or(0), Ordering::Relaxed);
     if let Some(s) = Sched::get() {
         let mut st = s.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -127,12 +95,7 @@ pub fn set_worker_cap(cap: Option<usize>) {
 
 fn env_workers() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("SPSIM_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
+    *ENV.get_or_init(|| env_knob("SPSIM_WORKERS", parse_workers).flatten())
 }
 
 fn host_cores() -> usize {
@@ -143,7 +106,7 @@ fn host_cores() -> usize {
 /// else the host core count (`min(cores, n)` is applied against live
 /// tasks when the pool grows).
 fn worker_cap() -> usize {
-    // ordering: serialized between runs by the caller, like set_sched_mode.
+    // ordering: serialized between runs by the caller, see set_worker_cap.
     match WORKER_OVERRIDE.load(Ordering::Relaxed) {
         0 => env_workers().unwrap_or_else(host_cores),
         n => n,
@@ -156,10 +119,8 @@ fn worker_cap() -> usize {
 fn stack_bytes() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
     *ENV.get_or_init(|| {
-        std::env::var("SPSIM_STACK_KB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 32)
+        env_knob("SPSIM_STACK_KB", parse_stack_kb)
+            .flatten()
             .unwrap_or(512)
             * 1024
     })
@@ -167,63 +128,93 @@ fn stack_bytes() -> usize {
 
 // ---------------------------------------------------------- context switch
 
-#[cfg(target_arch = "x86_64")]
-const FIBERS_SUPPORTED: bool = true;
+// The two architecture-specific pieces of the scheduler live in this one
+// block: the stack switch, and the frame a new fiber is first switched
+// into. A port adds a second `cfg` arm that provides the same two items;
+// everything else in this module is target-independent.
 #[cfg(not(target_arch = "x86_64"))]
-const FIBERS_SUPPORTED: bool = false;
-
-// System-V x86-64 stack switch: save the callee-saved registers and the
-// stack pointer of the current context, restore another's. The fiber's
-// first entry is faked as a restore whose popped registers were pre-staged
-// by `Task::init_frame` (r12 = the task pointer, return address =
-// `spsim_fiber_entry`).
-#[cfg(target_arch = "x86_64")]
-std::arch::global_asm!(
-    ".text",
-    ".globl spsim_ctx_switch",
-    ".p2align 4",
-    "spsim_ctx_switch:",
-    "push rbp",
-    "push rbx",
-    "push r12",
-    "push r13",
-    "push r14",
-    "push r15",
-    "mov [rdi], rsp",
-    "mov rsp, rsi",
-    "pop r15",
-    "pop r14",
-    "pop r13",
-    "pop r12",
-    "pop rbx",
-    "pop rbp",
-    "ret",
-    ".globl spsim_fiber_entry",
-    ".p2align 4",
-    "spsim_fiber_entry:",
-    "mov rdi, r12",
-    "and rsp, -16",
-    "call spsim_fiber_main",
-    "ud2",
+compile_error!(
+    "spsim fibers are implemented for x86_64 only: this target needs its own \
+     `spsim_ctx_switch` and `Task::init_frame` (crates/sim/src/sched.rs)"
 );
 
 #[cfg(target_arch = "x86_64")]
-extern "C" {
-    /// Defined in the `global_asm!` block above.
-    fn spsim_ctx_switch(save_rsp: *mut usize, restore_rsp: usize);
-    /// Label, never called from Rust — its address seeds new fiber frames.
-    fn spsim_fiber_entry();
-}
+mod arch {
+    use super::{Task, CANARY};
 
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn spsim_ctx_switch(_save_rsp: *mut usize, _restore_rsp: usize) {
-    unreachable!("fibers are x86-64 only; sched_mode() forces Threads here")
+    // System-V x86-64 stack switch: save the callee-saved registers and the
+    // stack pointer of the current context, restore another's. The fiber's
+    // first entry is faked as a restore whose popped registers were
+    // pre-staged by `Task::init_frame` (r12 = the task pointer, return
+    // address = `spsim_fiber_entry`).
+    std::arch::global_asm!(
+        ".text",
+        ".globl spsim_ctx_switch",
+        ".p2align 4",
+        "spsim_ctx_switch:",
+        "push rbp",
+        "push rbx",
+        "push r12",
+        "push r13",
+        "push r14",
+        "push r15",
+        "mov [rdi], rsp",
+        "mov rsp, rsi",
+        "pop r15",
+        "pop r14",
+        "pop r13",
+        "pop r12",
+        "pop rbx",
+        "pop rbp",
+        "ret",
+        ".globl spsim_fiber_entry",
+        ".p2align 4",
+        "spsim_fiber_entry:",
+        "mov rdi, r12",
+        "and rsp, -16",
+        "call spsim_fiber_main",
+        "ud2",
+    );
+
+    extern "C" {
+        /// Defined in the `global_asm!` block above.
+        pub(super) fn spsim_ctx_switch(save_rsp: *mut usize, restore_rsp: usize);
+        /// Label, never called from Rust — its address seeds new fiber frames.
+        fn spsim_fiber_entry();
+    }
+
+    impl Task {
+        /// Stage the initial stack frame so the first context switch
+        /// "returns" into `spsim_fiber_entry` with r12 = the task pointer.
+        ///
+        /// # Safety
+        /// Must run before the task is first enqueued, with no concurrent
+        /// access to `fiber`.
+        pub(super) unsafe fn init_frame(&self, me: *const Task) {
+            let fb = &mut *self.fiber.get();
+            let base = fb.stack.base() as *mut u64;
+            // Canary at the stack's low end: clobbered means overflow.
+            base.write(CANARY);
+            let top = fb.stack.top();
+            // 8 words below the top: r15 r14 r13 r12 rbx rbp ret pad.
+            let frame = (top - 8 * 8) as *mut u64;
+            for i in 0..6 {
+                frame.add(i).write(0);
+            }
+            frame.add(3).write(me as u64); // restored into r12
+            frame
+                .add(6)
+                .write(spsim_fiber_entry as *const () as usize as u64);
+            frame.add(7).write(0);
+            fb.rsp = frame as usize;
+        }
+    }
 }
+use arch::spsim_ctx_switch;
 
 /// Rust side of the fiber trampoline: runs the task closure under
 /// `catch_unwind`, records the outcome, and switches back to the worker
 /// for the last time. Never returns.
-#[cfg(target_arch = "x86_64")]
 #[no_mangle]
 extern "C" fn spsim_fiber_main(task: *const Task) {
     // Safety: the worker that switched us in holds an Arc to this task for
@@ -347,32 +338,6 @@ impl Task {
         task
     }
 
-    /// Stage the initial stack frame so the first context switch "returns"
-    /// into `spsim_fiber_entry` with r12 = the task pointer.
-    ///
-    /// # Safety
-    /// Must run before the task is first enqueued, with no concurrent
-    /// access to `fiber`.
-    unsafe fn init_frame(&self, me: *const Task) {
-        let fb = &mut *self.fiber.get();
-        let base = fb.stack.base() as *mut u64;
-        // Canary at the stack's low end: clobbered means overflow.
-        base.write(CANARY);
-        let top = fb.stack.top();
-        // 8 words below the top: r15 r14 r13 r12 rbx rbp ret pad.
-        let frame = (top - 8 * 8) as *mut u64;
-        for i in 0..6 {
-            frame.add(i).write(0);
-        }
-        frame.add(3).write(me as u64); // restored into r12
-        #[cfg(target_arch = "x86_64")]
-        frame
-            .add(6)
-            .write(spsim_fiber_entry as *const () as usize as u64);
-        frame.add(7).write(0);
-        fb.rsp = frame as usize;
-    }
-
     fn check_canary(&self) {
         // Safety: called by the worker that owns the task right now.
         let fb = unsafe { &*self.fiber.get() };
@@ -390,10 +355,6 @@ impl Task {
             );
             std::process::abort();
         }
-    }
-
-    pub(crate) fn is_finished(&self) -> bool {
-        self.done.lock().unwrap_or_else(|e| e.into_inner()).finished
     }
 }
 
@@ -428,11 +389,6 @@ thread_local! {
 /// The fiber the calling thread is currently executing, if it is one.
 pub(crate) fn current_task() -> Option<Arc<Task>> {
     CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Is the caller running on a pooled fiber (vs a plain OS thread)?
-pub fn on_fiber() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// Switch from the running fiber back to its worker. Returns when (if)
@@ -733,7 +689,7 @@ impl Sched {
                     // wall sleeping cannot change the virtual outcome, so
                     // fire the earliest deadline now. The budget (one
                     // cycle of pending timers per progress signal) keeps a
-                    // genuine no-progress state at legacy wall pacing.
+                    // genuine no-progress state at wall pacing.
                     if st.running == 0
                         && st.ready.is_empty()
                         && st.fired_since_progress < st.timers.len()
@@ -907,9 +863,9 @@ impl SimWaitTimeoutResult {
 /// code: a fiber caller registers as a waiter and parks through the pool
 /// (releasing the caller's lock via `MutexGuard::unlocked`), a plain
 /// thread falls through to an ordinary condvar wait. Notifies wake one or
-/// all of *both* kinds of waiter, so mixed jobs — fiber services with a
-/// thread-driven harness, or the `SPSIM_SCHED=threads` legacy mode — need
-/// no special-casing at call sites.
+/// all of *both* kinds of waiter, so mixed jobs — fiber services driven by
+/// a test body or harness on a plain thread — need no special-casing at
+/// call sites.
 ///
 /// A notify costs what it wakes: both kinds of waiter are counted, and a
 /// notify that finds neither count raised touches no lock and makes no
@@ -1149,13 +1105,35 @@ mod tests {
     }
 
     #[test]
+    fn env_parsers_accept_their_range_and_reject_the_rest() {
+        assert_eq!(parse_workers(""), Ok(None));
+        assert_eq!(parse_workers("1"), Ok(Some(1)));
+        assert_eq!(parse_workers("64"), Ok(Some(64)));
+        assert_eq!(parse_stack_kb(""), Ok(None));
+        assert_eq!(parse_stack_kb("32"), Ok(Some(32)));
+        assert_eq!(parse_stack_kb("2048"), Ok(Some(2048)));
+        for (parse, var, bad) in [
+            (parse_workers as fn(&str) -> _, "SPSIM_WORKERS", "0"),
+            (parse_workers, "SPSIM_WORKERS", "two"),
+            (parse_workers, "SPSIM_WORKERS", "-1"),
+            (parse_stack_kb, "SPSIM_STACK_KB", "31"),
+            (parse_stack_kb, "SPSIM_STACK_KB", "16"),
+            (parse_stack_kb, "SPSIM_STACK_KB", "512k"),
+        ] {
+            let msg = parse(bad).expect_err(bad);
+            assert!(msg.contains(var) && msg.contains(bad), "{msg}");
+            assert!(msg.contains("integer ≥"), "accepted set missing: {msg}");
+        }
+    }
+
+    #[test]
     fn task_runs_and_joins() {
         let hit = Arc::new(AtomicBool::new(false));
         let h2 = Arc::clone(&hit);
         let t = spawn_fn("t-basic", move || h2.store(true, Ordering::SeqCst));
         join_task(&t);
         assert!(hit.load(Ordering::SeqCst));
-        assert!(t.is_finished());
+        assert!(t.done.lock().unwrap().finished);
         assert!(take_panic(&t).is_none());
     }
 
@@ -1225,8 +1203,8 @@ mod tests {
     #[test]
     fn quiescent_pool_fast_forwards_tick_timers() {
         // A fiber whose ticks do productive work (signalled by a notify,
-        // like a barrier's progress drain) needs 40 ms of wall pacing under
-        // the legacy runtime; the quiescent pool fast-forwards each tick.
+        // like a barrier's progress drain) would need 40 ms of wall pacing;
+        // the quiescent pool fast-forwards each tick.
         let _quiet = POOL_QUIET.lock();
         let m = Arc::new(PlMutex::new(()));
         let cv = Arc::new(SimCondvar::new());

@@ -1,11 +1,11 @@
-//! The delivery fast path: per-source SPSC rings behind a timed facade.
+//! The packet-delivery queue: per-source SPSC rings behind a timed facade.
 //!
-//! [`TimedQueue`] serializes every producer and consumer on one mutex and,
-//! before the waiter-count fix, paid a `notify_all` per push. That is fine
-//! for genuinely multi-producer lanes (the LAPI completion queue) but it is
-//! the wrong shape for packet delivery: the adapter already serializes all
-//! packets of a directed `(src, dst)` flow under the sender-side flow lock,
-//! so each *source* is a single producer into the destination's receive
+//! [`TimedQueue`](crate::queue::TimedQueue) serializes every producer and
+//! consumer on one mutex. That is fine for genuinely multi-producer lanes
+//! (the LAPI completion queue) but it is the wrong shape for packet
+//! delivery: the adapter already serializes all packets of a directed
+//! `(src, dst)` flow under the sender-side flow lock, so each *source* is a
+//! single producer into the destination's receive
 //! queue. [`DeliveryRings`] exploits that: one SPSC circular ring per source
 //! lane (modeled on cpp-ipc's circular-array channels), lock-free on the
 //! producer side, with a spin-then-park protocol for blocked consumers. A
@@ -13,19 +13,13 @@
 //! capacity, and the consumer visits only lanes that have carried a packet,
 //! so memory and drain cost follow the traffic, not `lanes × capacity`.
 //!
-//! Ordering semantics are identical to [`TimedQueue`]: elements are handed
+//! Ordering semantics are identical to `TimedQueue`: elements are handed
 //! out in `(timestamp, tie-break, push-sequence)` order among those
 //! currently visible. The consumer drains every ring into a private staging
 //! heap before popping, and the push sequence comes from one shared atomic
 //! counter, so the pop order is the same pure function of (timestamps, push
-//! order, tie-break seed) that the heap path computes — same seed, same
-//! bytes, whichever path is selected (`crates/lapi/tests/determinism.rs`
-//! asserts exactly that).
-//!
-//! [`DeliveryQueue`] is the selectable facade the switch embeds: the `Rings`
-//! arm is the fast path, the `Heap` arm keeps the legacy `TimedQueue`
-//! reachable for A/B determinism tests and as the baseline lane of the
-//! wall-clock benchmark (see `MachineConfig::delivery_path`).
+//! order, tie-break seed) that the reference heap computes
+//! (`tests::matches_timed_queue_order_exactly`).
 
 use std::cell::UnsafeCell;
 use std::collections::BinaryHeap;
@@ -37,7 +31,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::clock::VClock;
-use crate::queue::{QueueClosed, Stamped, TimedQueue, DEFAULT_ESCAPE};
+use crate::queue::{Entry, QueueClosed, Stamped, DEFAULT_ESCAPE};
 use crate::sched::SimCondvar;
 use crate::time::VTime;
 
@@ -46,35 +40,6 @@ const FULL_SPINS: u32 = 64;
 
 /// Slots in a lane's first buffer (or the capacity bound, if smaller).
 const FIRST_SLOTS: usize = 64;
-
-/// One entry, ordered exactly like `TimedQueue`'s heap entries: earliest
-/// timestamp first, ties broken by the key computed at push time (insertion
-/// sequence when the scheduler perturbation hook is disarmed, a seeded hash
-/// when armed), then by raw sequence.
-struct Entry<T> {
-    at: VTime,
-    tie: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert to pop the earliest first.
-        (other.at, other.tie, other.seq).cmp(&(self.at, self.tie, self.seq))
-    }
-}
 
 type Slot<T> = UnsafeCell<MaybeUninit<Entry<T>>>;
 
@@ -209,7 +174,7 @@ impl<T> Drop for RingsInner<T> {
     }
 }
 
-/// A multi-lane SPSC delivery queue with [`TimedQueue`]-compatible
+/// A multi-lane SPSC delivery queue with `TimedQueue`-compatible
 /// semantics. Cloning yields another handle to the same queue.
 pub struct DeliveryRings<T> {
     inner: Arc<RingsInner<T>>,
@@ -323,7 +288,7 @@ impl<T: Send> DeliveryRings<T> {
     /// The caller must guarantee that pushes on one lane are serialized
     /// (the adapter's per-flow lock provides this). Returns `true` if the
     /// item was accepted; pushing to a closed queue refuses the item and
-    /// returns `false`, like [`TimedQueue::push`] — callers use the refusal
+    /// returns `false`, like `TimedQueue::push` — callers use the refusal
     /// to write the packet off in the trace ledger. A full ring doubles
     /// until it reaches [`Self::capacity`]; from there the push
     /// spins-then-yields until the consumer frees a slot, and if no
@@ -442,12 +407,6 @@ impl<T: Send> DeliveryRings<T> {
         self.inner.cond.notify_all();
     }
 
-    /// Has `close` been called?
-    pub fn is_closed(&self) -> bool {
-        // ordering: SeqCst — see `close`.
-        self.inner.closed.load(Ordering::SeqCst)
-    }
-
     /// Number of undelivered elements — a lock-free hint read from an
     /// atomic counter (exact when producers and consumers are quiescent,
     /// momentarily stale during concurrent pushes).
@@ -474,25 +433,6 @@ impl<T: Send> DeliveryRings<T> {
         }
     }
 
-    /// Nonblocking poll at virtual time `now`: take the earliest visible
-    /// element only if its timestamp is `<= now`.
-    pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let mut staged = self.inner.staged.lock();
-        self.inner.drain_into(&mut staged);
-        if let Some(top) = staged.heap.peek() {
-            if top.at <= now {
-                return Ok(self.pop_staged(&mut staged.heap));
-            }
-            return Ok(None);
-        }
-        // ordering: SeqCst — see `close`.
-        if self.inner.closed.load(Ordering::SeqCst) {
-            Err(QueueClosed)
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Blocking: wait for the earliest element, merging its timestamp into
     /// `clock`. Panics if the real-time escape elapses (simulated deadlock).
     pub fn recv_merge(&self, clock: &VClock) -> Result<Stamped<T>, QueueClosed> {
@@ -501,7 +441,7 @@ impl<T: Send> DeliveryRings<T> {
                 clock.merge(s.at);
                 Ok(s)
             }
-            Ok(None) => self.deadlock_panic(Some(clock)),
+            Ok(None) => self.deadlock_panic(clock),
             Err(e) => Err(e),
         }
     }
@@ -510,29 +450,6 @@ impl<T: Send> DeliveryRings<T> {
     /// timeout.
     pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Stamped<T>>, QueueClosed> {
         self.recv_inner(Some(dur))
-    }
-
-    /// Blocking receive without a clock; panics on the real-time escape.
-    pub fn recv(&self) -> Result<Stamped<T>, QueueClosed> {
-        match self.recv_inner(None) {
-            Ok(Some(s)) => Ok(s),
-            Ok(None) => self.deadlock_panic(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Drain every visible element whose timestamp is `<= now`, in
-    /// timestamp order.
-    pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
-        let mut out = Vec::new();
-        let mut staged = self.inner.staged.lock();
-        self.inner.drain_into(&mut staged);
-        while staged.heap.peek().is_some_and(|top| top.at <= now) {
-            if let Some(s) = self.pop_staged(&mut staged.heap) {
-                out.push(s);
-            }
-        }
-        out
     }
 
     /// Shared blocking core: `Ok(None)` means the wait bound elapsed
@@ -587,24 +504,9 @@ impl<T: Send> DeliveryRings<T> {
         }
     }
 
-    /// Debug snapshot of every undelivered entry as `(at_ns, tie, seq)`,
-    /// staged and in-ring alike (drains rings into the staging heap).
-    #[doc(hidden)]
-    pub fn debug_entries(&self) -> Vec<(u64, u64, u64)> {
-        let mut staged = self.inner.staged.lock();
-        self.inner.drain_into(&mut staged);
-        let mut out: Vec<(u64, u64, u64)> = staged
-            .heap
-            .iter()
-            .map(|e| (e.at.as_ns(), e.tie, e.seq))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// The real-time escape fired while blocked: the simulated program is
     /// deadlocked. Never returns.
-    fn deadlock_panic(&self, clock: Option<&VClock>) -> ! {
+    fn deadlock_panic(&self, clock: &VClock) -> ! {
         let inner = &*self.inner;
         panic!(
             "DeliveryRings::recv: no event within {:?} of real time — the simulated \
@@ -615,125 +517,16 @@ impl<T: Send> DeliveryRings<T> {
             // ordering: SeqCst — diagnostic reads.
             inner.depth.load(Ordering::SeqCst),
             inner.closed.load(Ordering::SeqCst),
-            clock.map_or(0, |c| c.now().as_ns()),
+            clock.now().as_ns(),
             crate::trace::tail_report(crate::trace::REPORT_TAIL)
         );
-    }
-}
-
-/// The selectable delivery queue the switch embeds in each port: the SPSC
-/// ring fast path, or the legacy multi-producer [`TimedQueue`] kept for A/B
-/// determinism tests and as the benchmark baseline. Both arms expose the
-/// same surface; `lane` is ignored by the heap arm.
-pub enum DeliveryQueue<T> {
-    /// Legacy path: one mutex-protected timestamp heap.
-    Heap(TimedQueue<T>),
-    /// Fast path: one SPSC ring per source lane plus a staging heap.
-    Rings(DeliveryRings<T>),
-}
-
-impl<T: Send> DeliveryQueue<T> {
-    /// Enqueue `item` from source `lane` at virtual time `at`. Lane pushes
-    /// must be serialized by the caller on the `Rings` arm (the adapter's
-    /// per-flow lock provides this). Returns `true` if the item was
-    /// accepted, `false` if the queue was already closed and refused it.
-    pub fn push_from(&self, lane: usize, at: VTime, item: T) -> bool {
-        match self {
-            DeliveryQueue::Heap(q) => q.push(at, item),
-            DeliveryQueue::Rings(q) => q.push_from(lane, at, item),
-        }
-    }
-
-    /// Close the queue; see [`TimedQueue::close`].
-    pub fn close(&self) {
-        match self {
-            DeliveryQueue::Heap(q) => q.close(),
-            DeliveryQueue::Rings(q) => q.close(),
-        }
-    }
-
-    /// Has `close` been called?
-    pub fn is_closed(&self) -> bool {
-        match self {
-            DeliveryQueue::Heap(q) => q.is_closed(),
-            DeliveryQueue::Rings(q) => q.is_closed(),
-        }
-    }
-
-    /// Number of undelivered elements (lock-free on both arms).
-    pub fn len(&self) -> usize {
-        match self {
-            DeliveryQueue::Heap(q) => q.len(),
-            DeliveryQueue::Rings(q) => q.len(),
-        }
-    }
-
-    /// Is the queue empty? Lock-free on both arms.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            DeliveryQueue::Heap(q) => q.is_empty(),
-            DeliveryQueue::Rings(q) => q.is_empty(),
-        }
-    }
-
-    /// Nonblocking receive; see [`TimedQueue::try_recv`].
-    pub fn try_recv(&self) -> Result<Option<Stamped<T>>, QueueClosed> {
-        match self {
-            DeliveryQueue::Heap(q) => q.try_recv(),
-            DeliveryQueue::Rings(q) => q.try_recv(),
-        }
-    }
-
-    /// Nonblocking poll at `now`; see [`TimedQueue::try_recv_ready`].
-    pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
-        match self {
-            DeliveryQueue::Heap(q) => q.try_recv_ready(now),
-            DeliveryQueue::Rings(q) => q.try_recv_ready(now),
-        }
-    }
-
-    /// Blocking receive that merges the element's timestamp into `clock`;
-    /// see [`TimedQueue::recv_merge`].
-    pub fn recv_merge(&self, clock: &VClock) -> Result<Stamped<T>, QueueClosed> {
-        match self {
-            DeliveryQueue::Heap(q) => q.recv_merge(clock),
-            DeliveryQueue::Rings(q) => q.recv_merge(clock),
-        }
-    }
-
-    /// Blocking receive bounded by real time; see
-    /// [`TimedQueue::recv_timeout`].
-    // liveness: pure dispatch — both variants' recv_timeout carry their
-    // own liveness contracts (sender notify / ring push wakes the waiter,
-    // close poisons it), and the `dur` bound caps the block in real time.
-    pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Stamped<T>>, QueueClosed> {
-        match self {
-            DeliveryQueue::Heap(q) => q.recv_timeout(dur),
-            DeliveryQueue::Rings(q) => q.recv_timeout(dur),
-        }
-    }
-
-    /// Blocking receive without a clock; see [`TimedQueue::recv`].
-    pub fn recv(&self) -> Result<Stamped<T>, QueueClosed> {
-        match self {
-            DeliveryQueue::Heap(q) => q.recv(),
-            DeliveryQueue::Rings(q) => q.recv(),
-        }
-    }
-
-    /// Drain every element stamped `<= now`; see
-    /// [`TimedQueue::drain_ready`].
-    pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
-        match self {
-            DeliveryQueue::Heap(q) => q.drain_ready(now),
-            DeliveryQueue::Rings(q) => q.drain_ready(now),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::TimedQueue;
     use crate::time::VDur;
     use std::thread;
 
@@ -835,7 +628,8 @@ mod tests {
                 for i in 0..k {
                     q.push_from(0, VTime::ZERO, i);
                 }
-                assert_eq!(q.drain_ready(VTime::ZERO).len(), k, "round {round}");
+                let drained = std::iter::from_fn(|| q.try_recv().unwrap()).count();
+                assert_eq!(drained, k, "round {round}");
                 assert_eq!(q.lane_slots(0), k.next_power_of_two().max(FIRST_SLOTS));
             }
         }
@@ -914,7 +708,7 @@ mod tests {
     fn close_unblocks_parked_consumer() {
         let q: DeliveryRings<()> = DeliveryRings::new(1, 4);
         let q2 = q.clone();
-        let h = thread::spawn(move || q2.recv());
+        let h = thread::spawn(move || q2.recv_merge(&VClock::new()));
         thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), Err(QueueClosed));
@@ -945,15 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_ready_respects_now() {
-        let q = DeliveryRings::new(1, 4);
-        q.push_from(0, VTime::from_us(50), ());
-        assert!(q.try_recv_ready(VTime::from_us(10)).unwrap().is_none());
-        assert!(q.try_recv_ready(VTime::from_us(50)).unwrap().is_some());
-        assert!(q.try_recv_ready(VTime::from_us(99)).unwrap().is_none());
-    }
-
-    #[test]
     fn recv_timeout_times_out_and_delivers() {
         let q: DeliveryRings<u8> = DeliveryRings::new(1, 4);
         assert_eq!(q.recv_timeout(Duration::from_millis(10)), Ok(None));
@@ -962,20 +747,6 @@ mod tests {
         assert_eq!(got.item, 9);
         q.close();
         assert_eq!(q.recv_timeout(Duration::from_millis(10)), Err(QueueClosed));
-    }
-
-    #[test]
-    fn drain_ready_takes_prefix_across_lanes() {
-        let q = DeliveryRings::new(2, 8);
-        for i in 0..5u64 {
-            q.push_from((i % 2) as usize, VTime::from_us(i * 10), i);
-        }
-        let got = q.drain_ready(VTime::from_us(25));
-        assert_eq!(
-            got.iter().map(|s| s.item).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -1028,25 +799,6 @@ mod tests {
         let (item, t) = h.join().unwrap();
         assert_eq!(item, "pkt");
         assert_eq!(t, VTime::from_us(42));
-    }
-
-    #[test]
-    fn delivery_queue_facade_dispatches_both_arms() {
-        for dq in [
-            DeliveryQueue::Heap(TimedQueue::new()),
-            DeliveryQueue::Rings(DeliveryRings::new(2, 8)),
-        ] {
-            dq.push_from(1, VTime::from_us(2), "b");
-            dq.push_from(0, VTime::from_us(1), "a");
-            assert_eq!(dq.len(), 2);
-            assert!(!dq.is_empty());
-            let clock = VClock::new();
-            assert_eq!(dq.recv_merge(&clock).unwrap().item, "a");
-            assert_eq!(dq.try_recv().unwrap().unwrap().item, "b");
-            dq.close();
-            assert!(dq.is_closed());
-            assert_eq!(dq.try_recv(), Err(QueueClosed));
-        }
     }
 
     #[test]

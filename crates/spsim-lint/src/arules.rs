@@ -23,10 +23,9 @@ const ENTRY_NAMES: &[&str] = &[
     "progress",
 ];
 
-/// The modules allowed to touch raw OS threads (A4): the SPMD runtime
-/// (legacy thread-per-node path, service threads) and the M:N scheduler
-/// (worker pool, fiber park/unpark, the `SimCondvar` thread fallback).
-const THREAD_HOMES: &[&str] = &["crates/sim/src/runtime.rs", "crates/sim/src/sched.rs"];
+/// The one module allowed to touch raw OS threads (A4): the M:N scheduler
+/// (worker pool, fiber park/unpark, the `SimCondvar` plain-thread arm).
+const THREAD_HOMES: &[&str] = &["crates/sim/src/sched.rs"];
 
 /// Run all four interprocedural rules. `lines` maps each real path to its
 /// source lines (used to honor existing L1 suppressions when computing
@@ -470,9 +469,9 @@ fn rule_a3(ws: &Workspace, out: &mut Vec<Finding>) {
 
 // --------------------------------------------------------------------- A4
 
-/// Raw OS-thread primitives outside `spsim::runtime`/`spsim::sched`. M:N
-/// node scheduling (ROADMAP item 1) requires every simulated thread to be
-/// created and joined by the runtime, so `thread::spawn`/`Builder`/`scope`
+/// Raw OS-thread primitives outside `spsim::sched`. M:N node scheduling
+/// requires every simulated context to be created and joined by the
+/// scheduler, so `thread::spawn`/`Builder`/`scope`
 /// and `JoinHandle` are banned in virtual-time crates everywhere else.
 /// Blocking primitives — `thread::park`/`park_timeout` and raw `Condvar`
 /// waits — are banned too: they pin a pooled worker without yielding to the
@@ -495,7 +494,7 @@ fn rule_a4(ws: &Workspace, out: &mut Vec<Finding>) {
                 "a raw condvar wait pins a pooled worker without yielding; \
                  use `spsim::SimCondvar`, which parks fibers scheduler-side"
             } else {
-                "only spsim::runtime may create or hold threads; use \
+                "only spsim::sched may create or hold OS threads; use \
                  `spsim::runtime::spawn_service`/`ServiceHandle`"
             };
             out.push(Finding {

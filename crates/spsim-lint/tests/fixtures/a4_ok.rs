@@ -1,6 +1,6 @@
-// lint-as: crates/sim/src/runtime.rs
+// lint-as: crates/sim/src/sched.rs
 //! Fixture: clean under A4 — the identical thread primitives are legal in
-//! `spsim::runtime`, the one sanctioned home for OS threads.
+//! `spsim::sched`, the one sanctioned home for OS threads.
 
 use std::thread::JoinHandle;
 

@@ -70,7 +70,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spsim::{
-    trace, DeliveryQueue, MachineConfig, NodeId, OrDiag, SimRng, StatCounter, VClock, VDur, VTime,
+    trace, DeliveryRings, MachineConfig, NodeId, OrDiag, SimRng, StatCounter, VClock, VDur, VTime,
 };
 
 use crate::link::Link;
@@ -279,7 +279,7 @@ impl PeerHealth {
 /// Shared per-node receive-side resources, indexed by node id.
 pub(crate) struct Port<M> {
     pub(crate) ejection: Link,
-    pub(crate) rx: DeliveryQueue<WirePacket<M>>,
+    pub(crate) rx: DeliveryRings<WirePacket<M>>,
     pub(crate) stats: AdapterStats,
 }
 
@@ -354,7 +354,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
     }
 
     /// This node's receive queue of arrived packets (in arrival-time order).
-    pub fn rx(&self) -> &DeliveryQueue<WirePacket<M>> {
+    pub fn rx(&self) -> &DeliveryRings<WirePacket<M>> {
         &self.ports[self.id].rx
     }
 

@@ -20,7 +20,7 @@
 //!   by virtual-time timers. The fabric genuinely drops and duplicates
 //!   packets per a seeded [`spsim::FaultPlan`]; an unrecoverable flow
 //!   surfaces as a structured [`DeliveryTimeout`];
-//! * a per-adapter [`spsim::TimedQueue`] of arrived packets, from which the
+//! * a per-adapter [`spsim::DeliveryRings`] of arrived packets, from which the
 //!   protocol layer (LAPI dispatcher / MPL progress engine) receives in
 //!   arrival-time order.
 //!

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use spsim::{DeliveryPath, DeliveryQueue, DeliveryRings, MachineConfig, SimRng, TimedQueue};
+use spsim::{DeliveryRings, MachineConfig, SimRng};
 
 use crate::adapter::{Adapter, AdapterStats, Port};
 
@@ -23,14 +23,9 @@ impl<M: Send + Clone + 'static> Network<M> {
                     ejection: crate::link::Link::new(),
                     // One delivery lane per source node: the per-(src,dst)
                     // flow lock makes each source a single producer into its
-                    // lane, which is what lets the ring path skip the heap
-                    // lock on push (DESIGN §4.2).
-                    rx: match cfg.delivery_path {
-                        DeliveryPath::Rings => {
-                            DeliveryQueue::Rings(DeliveryRings::new(n, cfg.delivery_ring_capacity))
-                        }
-                        DeliveryPath::Heap => DeliveryQueue::Heap(TimedQueue::new()),
-                    },
+                    // lane, which is what lets a push take no lock (DESIGN
+                    // §4.2).
+                    rx: DeliveryRings::new(n, cfg.delivery_ring_capacity),
                     stats: AdapterStats::default(),
                 })
                 .collect(),
