@@ -77,12 +77,15 @@ impl LapiGaBackend {
     /// Wrap a LAPI context (one per task; collective — all tasks must
     /// construct theirs before any communicates).
     pub fn new(ctx: LapiContext, cfg: GaConfig) -> Arc<Self> {
+        // One reservation carved into the buffers: the arena maps its pages
+        // only as AMs land in them, so an idle pool costs no memory.
+        let pool_base = ctx.alloc(cfg.pool_buffers * cfg.pool_buffer_bytes);
         let shared = Arc::new(Shared {
             stats: GaStats::default(),
             cfg: cfg.clone(),
             pool: Mutex::new(
                 (0..cfg.pool_buffers)
-                    .map(|_| ctx.alloc(cfg.pool_buffer_bytes))
+                    .map(|i| pool_base.offset(i * cfg.pool_buffer_bytes))
                     .collect(),
             ),
         });

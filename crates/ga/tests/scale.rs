@@ -20,12 +20,12 @@ const TASKS: usize = 1024;
 const ROWS: usize = 128;
 const COLS: usize = 128;
 
-/// `VmHWM` of this process in MB (`None` off Linux).
-fn vm_hwm_mb() -> Option<u64> {
+/// `VmHWM` of this process in bytes (`None` off Linux).
+fn vm_hwm_bytes() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024)
+    let kb: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
 }
 
 fn col_major(patch: &Patch, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
@@ -41,11 +41,15 @@ fn col_major(patch: &Patch, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
 #[test]
 #[ignore = "1024 nodes: run with --release (CI's ga-scale job does)"]
 fn thousand_node_ga_workload_completes_pooled() {
-    let gas: Vec<Ga> = LapiWorld::init(TASKS, MachineConfig::default(), Mode::Interrupt)
-        .into_iter()
-        .map(|ctx| Ga::new(LapiGaBackend::new(ctx, GaConfig::default()) as Arc<dyn GaBackend>))
-        .collect();
-    run_spmd_with(gas, |rank, ga| {
+    let gas: Vec<(Ga, Arc<LapiGaBackend>)> =
+        LapiWorld::init(TASKS, MachineConfig::default(), Mode::Interrupt)
+            .into_iter()
+            .map(|ctx| {
+                let backend = LapiGaBackend::new(ctx, GaConfig::default());
+                (Ga::new(backend.clone() as Arc<dyn GaBackend>), backend)
+            })
+            .collect();
+    let reserved: usize = run_spmd_with(gas, |rank, (ga, backend)| {
         let a = ga.create("scale", ROWS, COLS, GaKind::Double);
         ga.sync();
 
@@ -64,12 +68,25 @@ fn thousand_node_ga_workload_completes_pooled() {
         let corner = Patch::new(theirs.lo, theirs.lo);
         assert_eq!(a.get(corner), vec![next as f64]);
         ga.sync();
-    });
-    // Printed, not asserted: the peak here is GA's pool buffers (4 MiB per
-    // node, and as much again in flight), which an absolute bound would tie
-    // to one allocator and runner. Ring memory is guarded where it shows:
-    // the slot-count tests in `spsim::spsc` and `ring_n256`'s `peak_rss_mb`.
-    if let Some(mb) = vm_hwm_mb() {
-        println!("VmHWM at exit: {mb} MB");
+        backend.lapi().mem_allocated()
+    })
+    .into_iter()
+    .sum();
+    // Reserved is not resident: nearly all of each node's arena is its
+    // 4 MiB AM pool, and nothing here sends a bulk accumulate, so no page of
+    // it should ever be mapped. The ratio is the arena's zero-on-demand
+    // property and means the same on any allocator and runner, which an
+    // absolute bound would not. Ring memory is guarded where it shows: the
+    // slot-count tests in `spsim::spsc` and `ring_n256`'s `peak_rss_mb`.
+    if let Some(hwm) = vm_hwm_bytes() {
+        println!(
+            "VmHWM at exit: {} MB of {} MB reserved",
+            hwm >> 20,
+            reserved >> 20
+        );
+        assert!(
+            hwm < reserved / 4,
+            "peak resident {hwm} B is not under a quarter of the {reserved} B the arenas reserved"
+        );
     }
 }

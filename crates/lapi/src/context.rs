@@ -134,6 +134,12 @@ impl LapiContext {
         self.engine.alloc(len)
     }
 
+    /// Bytes this task has reserved with `alloc`: the sum of the lengths
+    /// requested, whether or not anything has touched them yet.
+    pub fn mem_allocated(&self) -> usize {
+        self.engine.with_space(|s| s.allocated())
+    }
+
     /// Read local memory.
     pub fn mem_read(&self, addr: Addr, len: usize) -> Vec<u8> {
         self.engine.mem_read(addr, len)

@@ -37,8 +37,11 @@
 //!   the completion handler to finish.
 //!
 //! Remote memory is addressed with [`Addr`] handles into each node's
-//! [`AddressSpace`] arena — the simulation-safe stand-in for raw virtual
-//! addresses on the SP.
+//! [`AddressSpace`] — the simulation-safe stand-in for raw virtual
+//! addresses on the SP. The arena is segmented and zero-on-demand, and
+//! addresses never move: an `Addr` is a segment index (bits 40 and up) over
+//! a byte offset, and a reservation costs host memory only where it has
+//! been touched (layout in [`addr`]).
 
 #![warn(missing_docs)]
 

@@ -23,7 +23,7 @@
 //!    timeline, dup and all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use lapi_sp::ga::{Ga, GaBackend, GaConfig, GaKind, LapiGaBackend, Patch};
@@ -33,6 +33,15 @@ use lapi_sp::sim::{run_spmd_with, FaultPlan, MachineConfig, VTime};
 
 const SEED: u64 = 0xFA_0177;
 const BYTES: usize = 24 * 1024; // spans ~24 packets: reassembly under loss
+
+/// The trace sink is process-wide: while the LAPI test holds a session, the
+/// packets of a job another test runs beside it land in that session's
+/// quiescence ledger. Every test holds this for as long as it runs jobs.
+static JOBS: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    JOBS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Mixed-primitive LAPI workload. Every rank puts a rank-tagged pattern to
 /// its right neighbour, amsends a stripe to its left neighbour, and
@@ -109,6 +118,7 @@ fn lapi_workload(cfg: MachineConfig, n: usize) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
 
 #[test]
 fn lapi_semantics_are_invariant_to_loss_and_duplication() {
+    let _alone = alone();
     let lossless = lapi_workload(MachineConfig::default().with_no_faults(), 3);
     for &(drop, dup) in &[(0.05, 0.0), (0.2, 0.05), (0.4, 0.1)] {
         let s = trace::session();
@@ -161,6 +171,7 @@ fn ga_workload(cfg: MachineConfig, n: usize) -> Vec<f64> {
 
 #[test]
 fn ga_toolkit_results_are_loss_invariant() {
+    let _alone = alone();
     let lossless = ga_workload(MachineConfig::default().with_no_faults(), 4);
     for &drop in &[0.05, 0.2] {
         let cfg = MachineConfig::default()
@@ -177,6 +188,7 @@ fn ga_toolkit_results_are_loss_invariant() {
 
 #[test]
 fn black_hole_window_delays_then_delivers_intact() {
+    let _alone = alone();
     // Link 0→1 swallows everything in [5ms, 8ms). A put issued at ~5ms
     // keeps retransmitting into the void until the window closes, then
     // lands intact — late, not lost.
@@ -214,6 +226,7 @@ fn black_hole_window_delays_then_delivers_intact() {
 
 #[test]
 fn dead_link_surfaces_delivery_timeout_and_fires_err_hndlr() {
+    let _alone = alone();
     // Link 0→1 dies before the job starts; rank 0's put must fail with a
     // structured DeliveryTimeout carrying the flow's sequence state, and
     // the handler registered at init (the paper's `err_hndlr`) must see
@@ -315,6 +328,7 @@ fn dead_link_surfaces_delivery_timeout_and_fires_err_hndlr() {
 
 #[test]
 fn same_seed_and_fault_plan_replay_identically() {
+    let _alone = alone();
     // Faulty runs stay virtually deterministic: the dice live in the
     // per-node send path, so host scheduling cannot shift them.
     let run = || {
