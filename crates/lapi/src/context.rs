@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use spsim::{trace, NodeId, ServiceHandle, VClock, VDur, VTime};
+use spsim::barrier::Exchange;
+use spsim::{trace, NodeId, VClock, VDur, VTime};
 
 use crate::addr::Addr;
 use crate::counter::{Counter, RemoteCounter};
@@ -11,10 +12,9 @@ use crate::error::LapiError;
 use crate::handlers::{AmInfo, HdrOutcome};
 use crate::stats::LapiStats;
 use crate::wire::RmwOp;
-use crate::world::Exchange;
 use crate::LapiResult;
 
-pub use crate::engine::Mode;
+pub use spswitch::progress::Mode;
 
 /// `LAPI_Qenv` selectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +42,6 @@ pub enum Senv {
 /// One task's LAPI context (`LAPI_Init` creates it; see [`crate::LapiWorld`]).
 pub struct LapiContext {
     pub(crate) engine: Arc<Engine>,
-    pub(crate) dispatcher: Option<ServiceHandle>,
-    pub(crate) completion: Vec<ServiceHandle>,
     pub(crate) barrier: spsim::VBarrier,
     pub(crate) exchange: Arc<Exchange>,
 }
@@ -113,7 +111,7 @@ impl LapiContext {
             Qenv::NumTasks => self.tasks(),
             Qenv::MaxUhdrSz => cfg.lapi_max_uhdr,
             Qenv::MaxDataSz => cfg.payload_per_packet(cfg.lapi_header_bytes),
-            Qenv::InterruptSet => (self.engine.mode() == Mode::Interrupt) as usize,
+            Qenv::InterruptSet => (self.engine.progress.mode() == Mode::Interrupt) as usize,
         }
     }
 
@@ -122,6 +120,7 @@ impl LapiContext {
         match s {
             Senv::InterruptSet(on) => {
                 self.engine
+                    .progress
                     .set_mode(if on { Mode::Interrupt } else { Mode::Polling })
             }
         }
@@ -191,7 +190,7 @@ impl LapiContext {
     /// `LAPI_Waitcntr`: wait until `c` reaches `val`, then decrement by
     /// `val`. Drives progress in polling mode.
     pub fn waitcntr(&self, c: &Counter, val: i64) {
-        self.engine.wait_counter(c, val)
+        c.wait_consume(&self.engine, val)
     }
 
     /// `LAPI_Probe`: process any arrived packets (polling-mode progress).
@@ -379,16 +378,21 @@ impl LapiContext {
     /// request and deadlock the job.
     pub fn gfence(&self) -> LapiResult {
         self.engine.fence_all()?;
-        match self.engine.mode() {
-            Mode::Polling => {
-                self.barrier
-                    .wait_with_progress(self.engine.clock(), || self.engine.drain_arrived());
-            }
-            Mode::Interrupt => {
-                self.barrier.wait(self.engine.clock());
+        self.barrier
+            .wait_with_progress(self.engine.clock(), self.barrier_progress());
+        Ok(())
+    }
+
+    /// What a parked `LAPI_Gfence` barrier wait runs: in polling mode,
+    /// drain the receive queue (see [`LapiContext::gfence`]); in interrupt
+    /// mode the dispatcher does that already.
+    fn barrier_progress(&self) -> impl FnMut() + '_ {
+        let polling = self.engine.progress.mode() == Mode::Polling;
+        move || {
+            if polling {
+                self.engine.drain_arrived()
             }
         }
-        Ok(())
     }
 
     /// Survivor-set `LAPI_Gfence`: fence and synchronize over the *live*
@@ -450,18 +454,11 @@ impl LapiContext {
         for &t in &survivors {
             self.engine.fence(t)?;
         }
-        match self.engine.mode() {
-            Mode::Polling => {
-                self.barrier
-                    .wait_among(self.engine.clock(), survivors.len(), || {
-                        self.engine.drain_arrived()
-                    });
-            }
-            Mode::Interrupt => {
-                self.barrier
-                    .wait_among(self.engine.clock(), survivors.len(), || {});
-            }
-        }
+        self.barrier.wait_among(
+            self.engine.clock(),
+            survivors.len(),
+            self.barrier_progress(),
+        );
         Ok(survivors)
     }
 
@@ -508,20 +505,7 @@ impl LapiContext {
     /// node in flight.
     pub fn term(&mut self) -> LapiResult {
         self.engine.check_live()?;
-        self.engine.terminate();
-        let propagate = !std::thread::panicking();
-        if let Some(h) = self.dispatcher.take() {
-            let r = h.join();
-            if propagate {
-                r.expect("dispatcher thread panicked");
-            }
-        }
-        for h in self.completion.drain(..) {
-            let r = h.join();
-            if propagate {
-                r.expect("completion thread panicked");
-            }
-        }
+        self.engine.shutdown(true);
         Ok(())
     }
 
@@ -541,37 +525,16 @@ impl LapiContext {
             return;
         }
         self.engine.crash();
-        self.engine.terminate();
-        let propagate = !std::thread::panicking();
-        if let Some(h) = self.dispatcher.take() {
-            let r = h.join();
-            if propagate {
-                r.expect("dispatcher thread panicked");
-            }
-        }
-        for h in self.completion.drain(..) {
-            let r = h.join();
-            if propagate {
-                r.expect("completion thread panicked");
-            }
-        }
-        // With the service threads gone, retire whatever they left behind.
+        self.engine.shutdown(true);
+        // With the services gone, retire whatever they left behind.
         self.engine.write_off_stranded();
     }
 }
 
 impl Drop for LapiContext {
     fn drop(&mut self) {
-        if !self.engine.is_terminated() {
-            self.engine.terminate();
-        }
-        // Reap service threads without double-panicking during unwinds.
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        for h in self.completion.drain(..) {
-            let _ = h.join();
-        }
+        // Reap the services without double-panicking during unwinds.
+        self.engine.shutdown(false);
     }
 }
 

@@ -17,11 +17,12 @@
 //! exchange).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use spsim::SimCondvar;
 use spsim::{VClock, VTime};
+
+use crate::engine::Engine;
 
 /// Index of a counter within its owning node's counter table.
 pub type CounterId = u32;
@@ -107,57 +108,66 @@ impl Counter {
     /// `val`, decrement by `val`, merge the latest event time into `clock`,
     /// and return true.
     pub fn try_consume(&self, clock: &VClock, val: i64) -> bool {
-        let mut st = self.inner.state.lock();
-        if st.value >= val {
-            // Harness mutant (disarmed in production): skip the decrement,
-            // leaving stale credit for the conformance oracle to catch.
-            if !spsim::mutation::armed(spsim::Mutant::SkipCounterDecrement) {
-                st.value -= val;
-            }
-            let t = st.last_event;
-            drop(st);
-            clock.merge(t);
-            true
-        } else {
-            false
-        }
+        let Some(t) = consume(&mut self.inner.state.lock(), val) else {
+            return false;
+        };
+        clock.merge(t);
+        true
     }
 
     /// `LAPI_Waitcntr`: block until the counter reaches `val`, then
-    /// decrement it by `val` and merge the latest event time into `clock`.
+    /// decrement it by `val` and merge the latest event time into the
+    /// engine's clock.
     ///
-    /// The caller's virtual clock is *not* advanced while blocked. `escape`
-    /// bounds real blocking time — hitting it panics, flagging a simulated
-    /// deadlock (e.g. polling-mode LAPI with nobody polling).
-    pub(crate) fn wait_consume(&self, clock: &VClock, val: i64, escape: Duration) {
-        let mut st = self.inner.state.lock();
-        while st.value < val {
-            if self.inner.cond.wait_for(&mut st, escape).timed_out() {
-                panic!(
-                    "LAPI_Waitcntr: counter {} stuck at {} (< {val}) for {escape:?} \
-                     of real time — simulated deadlock\n\
-                     [waiter-clock={}ns]\n{}",
-                    self.id,
-                    st.value,
-                    clock.now().as_ns(),
-                    spsim::trace::tail_report(spsim::trace::REPORT_TAIL)
-                );
-            }
-        }
-        // Harness mutant (disarmed in production): see `try_consume`.
-        if !spsim::mutation::armed(spsim::Mutant::SkipCounterDecrement) {
-            st.value -= val;
-        }
-        let t = st.last_event;
-        drop(st);
-        clock.merge(t);
+    /// The clock is *not* advanced while blocked. The wait goes through
+    /// the engine's progress driver: polling mode runs the dispatcher
+    /// inline, and a wait past the driver's escape panics, flagging a
+    /// simulated deadlock (e.g. polling-mode LAPI with nobody polling).
+    // liveness: incr_at and set notify the counter's cv; peer-death
+    // unwinding credits pending counters through incr_at.
+    pub(crate) fn wait_consume(&self, engine: &Engine, val: i64) {
+        let t = engine.progress.wait(
+            engine,
+            format_args!("LAPI_Waitcntr on counter {} for {val}", self.id),
+            &self.inner.state,
+            &self.inner.cond,
+            |st| consume(st, val),
+        );
+        engine.clock().merge(t);
     }
+}
+
+/// If the counter has reached `val`, decrement it by `val` and return the
+/// latest event time.
+fn consume(st: &mut State, val: i64) -> Option<VTime> {
+    if st.value < val {
+        return None;
+    }
+    // Harness mutant (disarmed in production): skip the decrement, leaving
+    // stale credit for the conformance oracle to catch.
+    if !spsim::mutation::armed(spsim::Mutant::SkipCounterDecrement) {
+        st.value -= val;
+    }
+    Some(st.last_event)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::LapiBody;
+    use spsim::MachineConfig;
+    use spswitch::progress::Mode;
+    use spswitch::Network;
     use std::thread;
+    use std::time::Duration;
+
+    /// A one-node interrupt-mode engine with no services: the waits below
+    /// park on the counter's own condvar.
+    fn engine(escape: Duration) -> Arc<Engine> {
+        let net: Network<LapiBody> = Network::new(1, Arc::new(MachineConfig::default()), 1);
+        let adapter = net.into_adapters().pop().unwrap();
+        Engine::new(adapter, Mode::Interrupt, escape)
+    }
 
     #[test]
     fn set_get_roundtrip() {
@@ -185,16 +195,16 @@ mod tests {
     fn waitcntr_decrements_and_merges_event_time() {
         let c = Counter::new(0);
         let c2 = c.clone();
-        let clock = VClock::new();
+        let e = engine(Duration::from_secs(5));
         let h = thread::spawn(move || {
             for i in 1..=5u64 {
                 c2.incr_at(VTime::from_us(10 * i));
             }
         });
-        c.wait_consume(&clock, 3, Duration::from_secs(5));
+        c.wait_consume(&e, 3);
         h.join().unwrap();
         assert_eq!(c.get(), 2);
-        assert!(clock.now() >= VTime::from_us(30));
+        assert!(e.clock().now() >= VTime::from_us(30));
     }
 
     #[test]
@@ -205,7 +215,7 @@ mod tests {
             thread::sleep(Duration::from_millis(20));
             c2.set(10);
         });
-        c.wait_consume(&VClock::new(), 10, Duration::from_secs(5));
+        c.wait_consume(&engine(Duration::from_secs(5)), 10);
         h.join().unwrap();
         assert_eq!(c.get(), 0);
     }
@@ -222,7 +232,7 @@ mod tests {
     #[should_panic(expected = "simulated deadlock")]
     fn wait_escape_panics() {
         let c = Counter::new(9);
-        c.wait_consume(&VClock::new(), 1, Duration::from_millis(30));
+        c.wait_consume(&engine(Duration::from_millis(30)), 1);
     }
 
     #[test]

@@ -2,28 +2,32 @@
 //!
 //! One [`Engine`] exists per node. It is shared by
 //!
-//! * the **application thread** (issuing operations; in polling mode also
-//!   driving the dispatcher logic from inside wait calls),
-//! * the **dispatcher thread** (interrupt mode: woken by arriving packets,
+//! * the **application task** (issuing operations; in polling mode also
+//!   driving the dispatcher from inside wait calls),
+//! * the **dispatcher service** (interrupt mode: woken by arriving packets,
 //!   charging the interrupt cost, then processing the backlog — the paper's
 //!   observation that a packet received while a previous one is still being
 //!   processed avoids its interrupt falls out of the drain loop), and
-//! * the **completion-handler thread** (running user completion handlers
+//! * the **completion-handler services** (running user completion handlers
 //!   concurrently with the dispatcher, as §2.1 specifies).
 //!
-//! All of them charge their CPU costs to the *same* node clock, modelling
-//! the single P2SC processor each paper node had.
+//! The engine is a [`Protocol`] on the shared [`Progress`] driver, which
+//! owns the mode, the services, the dispatcher and every blocking wait;
+//! this module is the issue paths and what each packet does. All of them
+//! charge their CPU costs to the *same* node clock, modelling the single
+//! P2SC processor each paper node had.
 
 // BTreeMap, not HashMap: handler tables, reassembly state and rmw slots are
 // iterated by diagnostics and live on trace-sensitive paths (lint rule L2).
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use spsim::SimCondvar;
 use spsim::{trace, MachineConfig, NodeId, OrDiag, Stamped, TimedQueue, VClock, VTime};
+use spswitch::progress::{Mode, Progress, Protocol};
 use spswitch::{Adapter, DeliveryTimeout, SendReceipt, WirePacket};
 
 use crate::addr::{Addr, AddressSpace};
@@ -33,23 +37,6 @@ use crate::handlers::{AmInfo, CompletionFn, HandlerCtx, HeaderHandlerFn};
 use crate::stats::LapiStats;
 use crate::wire::{Bytes, DataKind, IoVec, LapiBody, MsgId, RmwOp};
 use crate::LapiResult;
-
-/// Progress mode (§2.1): the typical mode is interrupt; polling avoids the
-/// interrupt cost but requires the target to make LAPI calls for progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Arriving packets interrupt the node; the dispatcher runs unbidden.
-    Interrupt,
-    /// Progress happens only inside LAPI calls.
-    Polling,
-}
-
-/// How long a polling wait spins on real time before re-checking (bounds
-/// latency of cross-thread wakeups; no effect on virtual time).
-const POLL_TICK: Duration = Duration::from_millis(2);
-
-/// How often the parked dispatcher re-checks the mode/termination flags.
-const DISPATCH_TICK: Duration = Duration::from_millis(10);
 
 /// User error handler registered at init (the `err_hndlr` argument of the
 /// real `LAPI_Init`): invoked for asynchronous communication failures that
@@ -82,7 +69,7 @@ enum Reasm {
     AmEarly { stash: Vec<(usize, Bytes)> },
 }
 
-/// Work handed to the completion-handler thread.
+/// Work handed to a completion-handler service.
 struct CmplWork {
     f: Option<CompletionFn>,
     src: NodeId,
@@ -108,40 +95,17 @@ impl RmwFuture {
     /// Block until the reply arrives or the target is declared dead
     /// (driving progress in polling mode). `Ok` carries the previous value
     /// of the target cell; `Err` is the peer-death cancellation.
+    // liveness: the RmwReply arrival fills the slot and notifies its cv;
+    // declare_peer_dead poisons it the same way.
     pub fn wait_result(&self) -> LapiResult<u64> {
-        let engine = &self.engine;
-        match engine.mode() {
-            Mode::Interrupt => {
-                let mut st = self.slot.st.lock();
-                let deadline = Instant::now() + engine.escape;
-                // liveness: the slot is filled by the dispatcher thread on
-                // RmwReply arrival, or poisoned (with cv notify) by
-                // declare_peer_dead; wait_until escapes past the deadline.
-                while st.is_none() {
-                    if self.slot.cv.wait_until(&mut st, deadline).timed_out() {
-                        panic!(
-                            "{}",
-                            engine.deadlock_report(
-                                "LAPI_Rmw reply never arrived — simulated deadlock"
-                            )
-                        );
-                    }
-                }
-                st.clone().or_diag("rmw slot filled but empty after wakeup")
-            }
-            Mode::Polling => {
-                let deadline = Instant::now() + engine.escape;
-                // liveness: poll_step drives the dispatcher that fills the
-                // slot (or the peer dies and the slot is poisoned); it
-                // panics with a diagnostic past the real-time deadline.
-                loop {
-                    if let Some(r) = self.slot.st.lock().clone() {
-                        return r;
-                    }
-                    engine.poll_step(deadline);
-                }
-            }
-        }
+        let e = &*self.engine;
+        e.progress.wait(
+            e,
+            format_args!("LAPI_Rmw reply"),
+            &self.slot.st,
+            &self.slot.cv,
+            |st| st.clone(),
+        )
     }
 
     /// Block until the reply arrives, panicking (with the structured
@@ -167,7 +131,6 @@ impl RmwFuture {
 
 /// Per-node LAPI machinery (see module docs).
 pub struct Engine {
-    adapter: Adapter<LapiBody>,
     space: Mutex<AddressSpace>,
     counters: Mutex<Vec<Counter>>,
     handlers: RwLock<BTreeMap<u32, HeaderHandlerFn>>,
@@ -190,12 +153,9 @@ pub struct Engine {
     pending_cmpl: Mutex<Vec<Vec<CounterId>>>,
     next_msg: AtomicU64,
     next_ticket: AtomicU64,
-    mode: Mutex<Mode>,
-    mode_cv: SimCondvar,
     cmpl_q: TimedQueue<CmplWork>,
     pub(crate) stats: LapiStats,
-    pub(crate) escape: Duration,
-    terminated: AtomicBool,
+    pub(crate) progress: Progress<LapiBody>,
     /// Crash-stop latch (fault injection): unlike plain termination, a
     /// crashed node's service loops stop *without* draining their
     /// backlogs — a crashed adapter delivers nothing — and teardown writes
@@ -208,7 +168,6 @@ impl Engine {
     pub(crate) fn new(adapter: Adapter<LapiBody>, mode: Mode, escape: Duration) -> Arc<Self> {
         let n = adapter.nodes();
         Arc::new(Engine {
-            adapter,
             space: Mutex::new(AddressSpace::new()),
             counters: Mutex::new(Vec::new()),
             handlers: RwLock::new(BTreeMap::new()),
@@ -220,12 +179,9 @@ impl Engine {
             pending_cmpl: Mutex::new(vec![Vec::new(); n]),
             next_msg: AtomicU64::new(1),
             next_ticket: AtomicU64::new(1),
-            mode: Mutex::new(mode),
-            mode_cv: SimCondvar::new(),
-            cmpl_q: TimedQueue::with_escape(escape),
+            cmpl_q: TimedQueue::new(),
             stats: LapiStats::default(),
-            escape,
-            terminated: AtomicBool::new(false),
+            progress: Progress::new(adapter, mode, escape),
             crashed: AtomicBool::new(false),
             err_hndlr: RwLock::new(None),
         })
@@ -234,29 +190,27 @@ impl Engine {
     // ------------------------------------------------------------- basics
 
     pub(crate) fn id(&self) -> NodeId {
-        self.adapter.id()
+        self.adapter().id()
     }
 
     pub(crate) fn tasks(&self) -> usize {
-        self.adapter.nodes()
+        self.adapter().nodes()
     }
 
     pub(crate) fn clock(&self) -> &VClock {
-        self.adapter.clock()
+        self.adapter().clock()
     }
 
     pub(crate) fn config(&self) -> &MachineConfig {
-        self.adapter.config()
+        self.adapter().config()
     }
 
     pub(crate) fn adapter(&self) -> &Adapter<LapiBody> {
-        &self.adapter
+        self.progress.adapter()
     }
 
     pub(crate) fn is_terminated(&self) -> bool {
-        // ordering: Acquire pairs with the Release store in `terminate` so
-        // observers of the flag also see the closed queues.
-        self.terminated.load(Ordering::Acquire)
+        self.progress.is_terminated()
     }
 
     pub(crate) fn is_crashed(&self) -> bool {
@@ -264,7 +218,7 @@ impl Engine {
         self.crashed.load(Ordering::Acquire)
     }
 
-    /// Latch the crash-stop flag; the caller follows with [`Self::terminate`]
+    /// Latch the crash-stop flag; the caller follows with [`Self::shutdown`]
     /// so the service loops observe both and stop without draining.
     pub(crate) fn crash(&self) {
         // ordering: Release — the loops' Acquire load of the flag must see
@@ -291,41 +245,11 @@ impl Engine {
         }
     }
 
-    pub(crate) fn mode(&self) -> Mode {
-        *self.mode.lock()
-    }
-
     /// Emit a trace event on this node's timeline at the current virtual
     /// time. One relaxed atomic load when tracing is disabled.
     #[inline]
     fn tr(&self, kind: trace::EventKind, detail: &'static str, msg_id: u64, bytes: usize) {
         trace::emit(self.id(), self.clock().now(), kind, detail, msg_id, bytes);
-    }
-
-    /// Diagnostic snapshot used when a wait hits its real-time escape hatch:
-    /// engine state (mode, per-target outstanding ops, reassembly and queue
-    /// depths) plus the tail of the merged event timeline when tracing is on.
-    pub(crate) fn deadlock_report(&self, what: &str) -> String {
-        let outstanding: Vec<i64> = self.outstanding.lock().clone();
-        let reasm: Vec<(NodeId, MsgId)> = self.reasm.lock().keys().copied().collect();
-        format!(
-            "node {} ({:?} mode): {what}\n\
-             outstanding ops per target: {outstanding:?}\n\
-             incomplete reassemblies (src, msg): {reasm:?}\n\
-             rx-queue depth: {} completion-queue depth: {} clock: {}ns\n{}{}",
-            self.id(),
-            self.mode(),
-            self.adapter.rx().len(),
-            self.cmpl_q.len(),
-            self.clock().now().as_ns(),
-            self.adapter.flows_report(),
-            trace::tail_report(trace::REPORT_TAIL)
-        )
-    }
-
-    pub(crate) fn set_mode(&self, mode: Mode) {
-        *self.mode.lock() = mode;
-        self.mode_cv.notify_all();
     }
 
     // ----------------------------------------------------- delivery errors
@@ -405,7 +329,7 @@ impl Engine {
             dead[target] = true;
         }
         self.stats.peer_deaths.incr();
-        self.adapter.peer_health().mark_dead(target);
+        self.adapter().peer_health().mark_dead(target);
         let now = self.clock().now();
         trace::emit(
             self.id(),
@@ -502,7 +426,7 @@ impl Engine {
                 self.id(),
                 credited.len(),
                 stranded.len(),
-                self.adapter.flows_report(),
+                self.adapter().flows_report(),
             ),
         };
         if let Some(h) = self.err_hndlr.read().clone() {
@@ -524,18 +448,9 @@ impl Engine {
         body: LapiBody,
         pending: Option<CounterId>,
     ) -> LapiResult<SendReceipt> {
-        match self
-            .adapter
+        self.adapter()
             .try_send_at(self.clock().now(), target, wire_bytes, body)
-        {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                let err = self.delivery_error(e);
-                self.retract_pending(target, pending);
-                self.fail_tracked_op(target, &err);
-                Err(err)
-            }
-        }
+            .map_err(|e| self.issue_failed(target, e, pending))
     }
 
     /// Send from dispatcher/completion context (replies, acknowledgements):
@@ -549,26 +464,10 @@ impl Engine {
         wire_bytes: usize,
         body: LapiBody,
     ) -> Option<SendReceipt> {
-        match self
-            .adapter
+        self.adapter()
             .try_send_at(self.clock().now(), target, wire_bytes, body)
-        {
-            Ok(r) => Some(r),
-            Err(e) => {
-                let err = self.delivery_error(e);
-                if self.err_hndlr.read().is_none() {
-                    panic!(
-                        "{}",
-                        self.deadlock_report(&format!(
-                            "unrecoverable communication failure with no err_hndlr \
-                             registered: {err}"
-                        ))
-                    );
-                }
-                self.declare_peer_dead(target, &err);
-                None
-            }
-        }
+            .map_err(|e| self.async_send_failed(target, e))
+            .ok()
     }
 
     /// Batched counterpart of [`Self::wire_send`]: inject every fragment of
@@ -585,69 +484,74 @@ impl Engine {
         frags: Vec<(usize, LapiBody)>,
         pending: Option<CounterId>,
     ) -> LapiResult<Option<SendReceipt>> {
-        let k = frags.len();
-        if k == 0 {
-            return Ok(None);
-        }
-        match self
-            .adapter
-            .try_send_batch_at(self.clock().now(), step, target, frags)
-        {
-            Ok(receipts) => {
-                if k > 1 {
-                    self.clock().advance(step * (k as u64 - 1));
-                }
-                Ok(receipts.into_iter().last())
-            }
-            Err(e) => {
-                let err = self.delivery_error(e);
-                self.retract_pending(target, pending);
-                self.fail_tracked_op(target, &err);
-                Err(err)
-            }
-        }
+        self.send_batch(target, step, frags)
+            .map_err(|e| self.issue_failed(target, e, pending))
     }
 
     /// Batched counterpart of [`Self::wire_send_async`]: same injection and
-    /// clock algebra as [`Self::wire_send_batch`], but delivery timeouts are
-    /// routed to the registered `err_hndlr` through the peer-death latch
-    /// (there is no user call to return through). Returns `None` when the
-    /// batch could not be delivered.
+    /// clock algebra as [`Self::wire_send_batch`], failures routed like
+    /// [`Self::wire_send_async`]'s.
     fn wire_send_batch_async(
         &self,
         target: NodeId,
         step: spsim::VDur,
         frags: Vec<(usize, LapiBody)>,
     ) -> Option<SendReceipt> {
+        self.send_batch(target, step, frags).unwrap_or_else(|e| {
+            self.async_send_failed(target, e);
+            None
+        })
+    }
+
+    fn send_batch(
+        &self,
+        target: NodeId,
+        step: spsim::VDur,
+        frags: Vec<(usize, LapiBody)>,
+    ) -> Result<Option<SendReceipt>, DeliveryTimeout> {
         let k = frags.len();
         if k == 0 {
-            return None;
+            return Ok(None);
         }
-        match self
-            .adapter
-            .try_send_batch_at(self.clock().now(), step, target, frags)
-        {
-            Ok(receipts) => {
-                if k > 1 {
-                    self.clock().advance(step * (k as u64 - 1));
-                }
-                receipts.into_iter().last()
-            }
-            Err(e) => {
-                let err = self.delivery_error(e);
-                if self.err_hndlr.read().is_none() {
-                    panic!(
-                        "{}",
-                        self.deadlock_report(&format!(
-                            "unrecoverable communication failure with no err_hndlr \
-                             registered: {err}"
-                        ))
-                    );
-                }
-                self.declare_peer_dead(target, &err);
-                None
-            }
+        let receipts = self
+            .adapter()
+            .try_send_batch_at(self.clock().now(), step, target, frags)?;
+        if k > 1 {
+            self.clock().advance(step * (k as u64 - 1));
         }
+        Ok(receipts.into_iter().last())
+    }
+
+    /// The issue-path half of a failed send (see [`Self::wire_send`]).
+    fn issue_failed(
+        &self,
+        target: NodeId,
+        e: DeliveryTimeout,
+        pending: Option<CounterId>,
+    ) -> LapiError {
+        let err = self.delivery_error(e);
+        self.retract_pending(target, pending);
+        self.fail_tracked_op(target, &err);
+        err
+    }
+
+    /// The dispatcher-side half of a failed send (see
+    /// [`Self::wire_send_async`]).
+    fn async_send_failed(&self, target: NodeId, e: DeliveryTimeout) {
+        let err = self.delivery_error(e);
+        if self.err_hndlr.read().is_none() {
+            panic!(
+                "{}",
+                self.progress.deadlock_report(
+                    self,
+                    &format!(
+                        "unrecoverable communication failure with no err_hndlr \
+                         registered: {err}"
+                    )
+                )
+            );
+        }
+        self.declare_peer_dead(target, &err);
     }
 
     // ------------------------------------------------------------- memory
@@ -838,7 +742,7 @@ impl Engine {
             }
         }
         // Note the completion counter before the send so a Done racing in
-        // on the dispatcher thread always finds it; the send retracts the
+        // on the dispatcher service always finds it; the send retracts the
         // note on failure.
         if let Some(c) = cmpl_cntr {
             self.note_pending(target, c.id());
@@ -1160,7 +1064,7 @@ impl Engine {
             cmp_val,
         };
         if let Err(e) =
-            self.adapter
+            self.adapter()
                 .try_send_at(self.clock().now(), target, cfg.lapi_header_bytes, body)
         {
             let err = self.delivery_error(e);
@@ -1193,7 +1097,7 @@ impl Engine {
     // --------------------------------------------------------- dispatcher
 
     /// Process one arrived packet (clock merged to arrival, dispatch cost
-    /// charged here). Called from the dispatcher thread (interrupt mode) or
+    /// charged here). Called from the dispatcher service (interrupt mode) or
     /// from inside wait/probe calls (polling mode).
     pub(crate) fn process_packet(&self, s: Stamped<WirePacket<LapiBody>>) {
         let clock = self.clock();
@@ -1512,7 +1416,7 @@ impl Engine {
                 // Data has landed: release the fence immediately (§5.3.2 —
                 // fence does not wait for completion handlers)…
                 self.send_done(src, true, None);
-                // …and hand the handler to the completion thread, which
+                // …and hand the handler to a completion service, which
                 // will bump tgt_cntr and send the cmpl_cntr ack afterwards.
                 self.cmpl_q.push(
                     clock.now(),
@@ -1729,33 +1633,6 @@ impl Engine {
 
     // ----------------------------------------------------------- progress
 
-    /// One polling step: process whatever has arrived, or block (real time,
-    /// bounded) for the next packet. Panics past `deadline` — simulated
-    /// deadlock.
-    // liveness: recv_timeout wakes on every packet the switch delivers to
-    // this node's adapter ring; on silence the POLL_TICK real-time bound
-    // re-arms the wait until `deadline`, then deadlock_report fires — a
-    // dead or non-polling peer cannot park this thread forever.
-    fn poll_step(&self, deadline: Instant) {
-        self.adapter.pump(self.clock().now());
-        match self.adapter.rx().recv_timeout(POLL_TICK) {
-            Ok(Some(s)) => self.process_packet(s),
-            Ok(None) => {
-                if Instant::now() > deadline {
-                    panic!(
-                        "{}",
-                        self.deadlock_report(&format!(
-                            "polling-mode LAPI made no progress for {:?} of real time — \
-                             simulated deadlock (is the peer polling?)",
-                            self.escape
-                        ))
-                    );
-                }
-            }
-            Err(_) => spsim::sim_panic!("adapter receive queue closed while waiting for progress"),
-        }
-    }
-
     /// Process everything already arrived without charging any polling
     /// cost when the queue is empty — the progress hook a parked barrier
     /// wait runs (`LAPI_Gfence` in polling mode). Unlike [`Self::probe`]
@@ -1764,16 +1641,16 @@ impl Engine {
     pub(crate) fn drain_arrived(&self) {
         // Lock-free emptiness hint: this runs on every real-time tick of a
         // parked barrier wait, so don't touch the queue locks when idle.
-        if self.adapter.rx().is_empty() {
+        if self.adapter().rx().is_empty() {
             return;
         }
         let mut n = 0;
-        while let Ok(Some(s)) = self.adapter.rx().try_recv() {
+        while let Ok(Some(s)) = self.adapter().rx().try_recv() {
             self.process_packet(s);
             n += 1;
         }
         if n > 0 {
-            self.adapter.pump(self.clock().now());
+            self.adapter().pump(self.clock().now());
         }
     }
 
@@ -1783,8 +1660,8 @@ impl Engine {
         let mut n = 0;
         // Lock-free emptiness hint gates the drain: polling loops call this
         // back-to-back, and the common case is an empty queue.
-        if !self.adapter.rx().is_empty() {
-            while let Ok(Some(s)) = self.adapter.rx().try_recv() {
+        if !self.adapter().rx().is_empty() {
+            while let Ok(Some(s)) = self.adapter().rx().try_recv() {
                 self.process_packet(s);
                 n += 1;
             }
@@ -1794,32 +1671,14 @@ impl Engine {
         }
         // Flush any coalesced-ACK deadline that has come due on our
         // outgoing flows (free when the reliability protocol is disarmed).
-        self.adapter.pump(self.clock().now());
+        self.adapter().pump(self.clock().now());
         n
-    }
-
-    /// `LAPI_Waitcntr` with mode-appropriate progress.
-    pub(crate) fn wait_counter(&self, c: &Counter, val: i64) {
-        match self.mode() {
-            Mode::Interrupt => c.wait_consume(self.clock(), val, self.escape),
-            Mode::Polling => {
-                let deadline = Instant::now() + self.escape;
-                // liveness: poll_step drives the dispatcher inline, so
-                // this thread produces the counter updates it waits for
-                // (peer-death unwinding credits them too); it panics with
-                // a diagnostic past the real-time deadline.
-                loop {
-                    if c.try_consume(self.clock(), val) {
-                        return;
-                    }
-                    self.poll_step(deadline);
-                }
-            }
-        }
     }
 
     /// `LAPI_Fence(tgt)`: wait until no operation issued from this node to
     /// `tgt` is still in flight (data landed in remote buffers).
+    // liveness: every outstanding_decr notifies outstanding_cv, and
+    // declare_peer_dead zeroes the slot and notifies it too.
     pub(crate) fn fence(&self, target: NodeId) -> LapiResult {
         self.check_live()?;
         self.check_target(target)?;
@@ -1831,48 +1690,16 @@ impl Engine {
             return Err(self.peer_dead_error(target));
         }
         self.tr(trace::EventKind::FenceBegin, "fence", target as u64, 0);
-        match self.mode() {
-            Mode::Interrupt => {
-                let deadline = Instant::now() + self.escape;
-                let mut o = self.outstanding.lock();
-                // liveness: outstanding_cv is notified by every
-                // outstanding_decr and by declare_peer_dead (which zeroes
-                // the slot); wait_until escapes past the deadline.
-                while o[target] != 0 {
-                    if self.outstanding_cv.wait_until(&mut o, deadline).timed_out() {
-                        let stuck = o[target];
-                        drop(o); // deadlock_report re-takes the lock
-                        panic!(
-                            "{}",
-                            self.deadlock_report(&format!(
-                                "LAPI_Fence to {target} stuck ({stuck} ops outstanding) — \
-                                 simulated deadlock"
-                            ))
-                        );
-                    }
-                }
-                drop(o);
-                if self.is_peer_dead(target) {
-                    return Err(self.peer_dead_error(target));
-                }
-            }
-            Mode::Polling => {
-                let deadline = Instant::now() + self.escape;
-                // liveness: poll_step drives packet processing (which
-                // decrements outstanding) and panics with a diagnostic
-                // past the real-time deadline; declare_peer_dead zeroes
-                // the slot, observed on the next iteration.
-                loop {
-                    if self.is_peer_dead(target) {
-                        return Err(self.peer_dead_error(target));
-                    }
-                    if self.outstanding.lock()[target] == 0 {
-                        self.tr(trace::EventKind::FenceEnd, "fence", target as u64, 0);
-                        return Ok(());
-                    }
-                    self.poll_step(deadline);
-                }
-            }
+        self.progress.wait(
+            self,
+            format_args!("LAPI_Fence to {target}"),
+            &self.outstanding,
+            &self.outstanding_cv,
+            |o| (o[target] == 0).then_some(()),
+        );
+        // A peer declared dead while we waited had its slot zeroed.
+        if self.is_peer_dead(target) {
+            return Err(self.peer_dead_error(target));
         }
         self.tr(trace::EventKind::FenceEnd, "fence", target as u64, 0);
         Ok(())
@@ -1905,101 +1732,45 @@ impl Engine {
         }
     }
 
-    /// Interrupt-mode dispatcher loop (runs on its own thread).
-    pub(crate) fn dispatcher_loop(&self) {
-        // liveness: recv_timeout wakes on every arriving packet and every
-        // DISPATCH_TICK; mode_cv is notified on mode flips; terminate()
-        // closes the rx queue, observed by the re-checks below.
-        loop {
-            if self.is_terminated() {
+    /// Completion-handler service loop. Idle waiting is normal here (work
+    /// only arrives when messages with completion handlers land), so the
+    /// loop takes the driver's idle receive instead of a deadlock escape.
+    pub(crate) fn completion_loop(&self) {
+        // liveness: idle_recv wakes on every queued completion and every
+        // tick, and ends the loop once terminate() closes cmpl_q.
+        while let Some(Stamped { at, item: work }) = self.progress.idle_recv(&self.cmpl_q) {
+            // A crashed node runs no more completion handlers (pending
+            // work is not ledger-tracked — just drop it).
+            if self.is_crashed() {
                 return;
             }
-            // Park (cheaply, in real time) while the node is in polling
-            // mode: progress is then the application's job.
-            {
-                let mut mode = self.mode.lock();
-                if *mode == Mode::Polling {
-                    self.mode_cv.wait_for(&mut mode, DISPATCH_TICK);
-                    continue;
-                }
+            let cfg = self.config();
+            let clock = self.clock();
+            clock.merge(at);
+            clock.advance(cfg.lapi_cmpl_handler);
+            self.stats.cmpl_handlers.incr();
+            self.tr(trace::EventKind::HandlerEnter, "cmpl", work.src as u64, 0);
+            if let Some(f) = work.f {
+                f(&HandlerCtx { engine: self });
             }
-            match self.adapter.rx().recv_timeout(DISPATCH_TICK) {
-                Err(_) => return, // queue closed: job over
-                Ok(None) => continue,
-                Ok(Some(s)) => {
-                    // A crash-stop stops processing immediately: the packet
-                    // in hand (and anything still queued, retired by the
-                    // teardown's write_off_stranded) will never be
-                    // delivered by this dead node.
-                    if self.is_crashed() {
-                        self.write_off_packet(&s);
-                        return;
-                    }
-                    self.charge_interrupt_if_idle(s.at);
-                    self.process_packet(s);
-                    while let Ok(Some(next)) = self.adapter.rx().try_recv() {
-                        if self.is_crashed() {
-                            self.write_off_packet(&next);
-                            return;
-                        }
-                        self.charge_interrupt_if_idle(next.at);
-                        self.process_packet(next);
-                    }
-                    self.adapter.pump(self.clock().now());
-                }
+            self.tr(trace::EventKind::HandlerExit, "cmpl", work.src as u64, 0);
+            clock.advance(cfg.lapi_counter_update);
+            if let Some(id) = work.tgt_cntr {
+                self.bump_counter(id, clock.now());
+            }
+            if work.cmpl_cntr.is_some() {
+                self.send_done(work.src, false, work.cmpl_cntr);
             }
         }
     }
 
-    /// Completion-handler thread loop. Idle waiting is normal here (work
-    /// only arrives when messages with completion handlers land), so the
-    /// loop polls with a timeout instead of using the deadlock escape.
-    pub(crate) fn completion_loop(&self) {
-        // liveness: recv_timeout wakes on every queued completion and
-        // every DISPATCH_TICK; terminate() closes cmpl_q, which surfaces
-        // as Err and ends the loop.
-        loop {
-            match self.cmpl_q.recv_timeout(DISPATCH_TICK) {
-                Err(_) => return,
-                Ok(None) => {
-                    if self.is_terminated() {
-                        return;
-                    }
-                }
-                Ok(Some(Stamped { at, item: work })) => {
-                    // A crashed node runs no more completion handlers
-                    // (pending work is not ledger-tracked — just drop it).
-                    if self.is_crashed() {
-                        return;
-                    }
-                    let cfg = self.config();
-                    let clock = self.clock();
-                    clock.merge(at);
-                    clock.advance(cfg.lapi_cmpl_handler);
-                    self.stats.cmpl_handlers.incr();
-                    self.tr(trace::EventKind::HandlerEnter, "cmpl", work.src as u64, 0);
-                    if let Some(f) = work.f {
-                        f(&HandlerCtx { engine: self });
-                    }
-                    self.tr(trace::EventKind::HandlerExit, "cmpl", work.src as u64, 0);
-                    clock.advance(cfg.lapi_counter_update);
-                    if let Some(id) = work.tgt_cntr {
-                        self.bump_counter(id, clock.now());
-                    }
-                    if work.cmpl_cntr.is_some() {
-                        self.send_done(work.src, false, work.cmpl_cntr);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Terminate: close queues so the service threads exit.
-    pub(crate) fn terminate(&self) {
-        self.terminated.store(true, Ordering::Release);
-        self.adapter.shutdown();
+    /// Terminate (idempotent) and join the services: the one teardown path
+    /// of `LAPI_Term`, crash-stop and drop. `propagate` resumes a service
+    /// panic on the caller.
+    pub(crate) fn shutdown(&self, propagate: bool) {
+        self.progress.terminate();
         self.cmpl_q.close();
-        self.mode_cv.notify_all();
+        self.progress.join_services(propagate);
     }
 
     /// Write one received-but-never-processed packet off the trace ledger.
@@ -2020,8 +1791,39 @@ impl Engine {
     /// (`injected == delivered + written_off`) — a crashed run must tear
     /// down without falsely tripping the quiescence checker.
     pub(crate) fn write_off_stranded(&self) {
-        while let Ok(Some(s)) = self.adapter.rx().try_recv() {
+        while let Ok(Some(s)) = self.adapter().rx().try_recv() {
             self.write_off_packet(&s);
         }
+    }
+}
+
+impl Protocol<LapiBody> for Engine {
+    fn on_packet(&self, s: Stamped<WirePacket<LapiBody>>) {
+        self.process_packet(s)
+    }
+
+    /// A crash-stop stops processing immediately: the packet in hand (and
+    /// anything still queued, retired by the teardown's
+    /// `write_off_stranded`) will never be delivered by this dead node.
+    fn on_interrupt(&self, s: &Stamped<WirePacket<LapiBody>>) -> bool {
+        if self.is_crashed() {
+            self.write_off_packet(s);
+            return false;
+        }
+        self.charge_interrupt_if_idle(s.at);
+        true
+    }
+
+    /// Per-target outstanding ops, reassembly state and the completion
+    /// queue depth.
+    fn report(&self) -> String {
+        let outstanding: Vec<i64> = self.outstanding.lock().clone();
+        let reasm: Vec<(NodeId, MsgId)> = self.reasm.lock().keys().copied().collect();
+        format!(
+            "outstanding ops per target: {outstanding:?}\n\
+             incomplete reassemblies (src, msg): {reasm:?}\n\
+             completion-queue depth: {}\n",
+            self.cmpl_q.len()
+        )
     }
 }

@@ -2,51 +2,22 @@
 //!
 //! A parallel job is created with [`LapiWorld::init`], which wires an
 //! `n`-node simulated switch, builds one [`LapiContext`] per task, and
-//! starts each task's dispatcher and completion threads. The contexts are
-//! then moved into node threads (see `spsim::run_spmd_with`).
+//! starts each task's dispatcher and completion services. The contexts are
+//! then moved into node tasks (see `spsim::run_spmd_with`).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use spsim::{MachineConfig, NodeId, VBarrier, VClock, VDur};
+use spsim::barrier::Exchange;
+use spsim::{MachineConfig, VBarrier, VDur};
 use spswitch::Network;
 
 use crate::context::{LapiContext, Mode};
 use crate::engine::Engine;
 use crate::wire::LapiBody;
 
-/// Collective u64 exchange board (the substrate of `LAPI_Address_init`).
-pub(crate) struct Exchange {
-    slots: Mutex<Vec<u64>>,
-    barrier: VBarrier,
-}
-
-impl Exchange {
-    fn new(n: usize, cost: VDur) -> Self {
-        Exchange {
-            slots: Mutex::new(vec![0; n]),
-            barrier: VBarrier::new(n, cost),
-        }
-    }
-
-    pub(crate) fn exchange(&self, clock: &VClock, me: NodeId, value: u64) -> Vec<u64> {
-        self.slots.lock()[me] = value;
-        self.barrier.wait(clock);
-        let out = self.slots.lock().clone();
-        // Second phase keeps a fast next exchange from overwriting slots
-        // before a slow task has read this round.
-        self.barrier.wait(clock);
-        out
-    }
-}
-
-/// Cost model of a job-wide synchronization: a dissemination barrier pays
-/// ~log2(n) message latencies.
-fn barrier_cost(cfg: &MachineConfig, n: usize) -> VDur {
-    let rounds = (usize::BITS - (n.max(2) - 1).leading_zeros()) as u64;
-    (cfg.fabric_latency + VDur::from_us(13)) * rounds
-}
+/// LAPI's software cost per barrier round.
+const BARRIER_SW: VDur = VDur::from_us(13);
 
 /// Builder/entry point for a LAPI job.
 pub struct LapiWorld;
@@ -92,31 +63,29 @@ impl LapiWorld {
         );
         let cfg = Arc::new(cfg);
         let net: Network<LapiBody> = Network::new(n, Arc::clone(&cfg), seed);
-        let bcost = barrier_cost(&cfg, n);
+        let bcost = VBarrier::dissemination_cost(&cfg, n, BARRIER_SW);
         let barrier = VBarrier::new(n, bcost);
         let exchange = Arc::new(Exchange::new(n, bcost));
         net.into_adapters()
             .into_iter()
             .map(|ad| {
                 let engine = Engine::new(ad, mode, escape);
-                let d_engine = Arc::clone(&engine);
-                let dispatcher =
-                    spsim::spawn_service(format!("lapi-disp-{}", d_engine.id()), move || {
-                        d_engine.dispatcher_loop()
+                let e = Arc::clone(&engine);
+                engine
+                    .progress
+                    .start_service(format!("lapi-disp-{}", e.id()), move || {
+                        e.progress.dispatcher_loop(&*e)
                     });
-                let completion = (0..completion_threads)
-                    .map(|k| {
-                        let c_engine = Arc::clone(&engine);
-                        spsim::spawn_service(
-                            format!("lapi-cmpl-{}-{k}", c_engine.id()),
-                            move || c_engine.completion_loop(),
-                        )
-                    })
-                    .collect();
+                for k in 0..completion_threads {
+                    let e = Arc::clone(&engine);
+                    engine
+                        .progress
+                        .start_service(format!("lapi-cmpl-{}-{k}", e.id()), move || {
+                            e.completion_loop()
+                        });
+                }
                 LapiContext {
                     engine,
-                    dispatcher: Some(dispatcher),
-                    completion,
                     barrier: barrier.clone(),
                     exchange: Arc::clone(&exchange),
                 }
@@ -128,6 +97,7 @@ impl LapiWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spsim::VClock;
 
     #[test]
     fn init_builds_rank_ordered_contexts() {
@@ -141,9 +111,9 @@ mod tests {
     #[test]
     fn barrier_cost_scales_logarithmically() {
         let cfg = MachineConfig::default();
-        let c2 = barrier_cost(&cfg, 2);
-        let c8 = barrier_cost(&cfg, 8);
-        let c512 = barrier_cost(&cfg, 512);
+        let c2 = VBarrier::dissemination_cost(&cfg, 2, BARRIER_SW);
+        let c8 = VBarrier::dissemination_cost(&cfg, 8, BARRIER_SW);
+        let c512 = VBarrier::dissemination_cost(&cfg, 512, BARRIER_SW);
         assert!(c2 < c8 && c8 < c512);
         assert_eq!(c8, c2 * 3);
     }

@@ -1,25 +1,18 @@
 //! The per-task MPL context: `send`/`recv`, `rcvncall`, collectives.
 
-use spsim::ServiceHandle;
 use std::sync::Arc;
-use std::time::Instant;
 
+use spsim::barrier::Exchange;
 use spsim::{NodeId, VClock, VDur, VTime};
 
 use crate::engine::{MplEngine, MplStats, RcvncallFn, RecvState, SendState};
 use crate::wire::Tag;
-use crate::world::MplExchange;
 
 /// Progress mode: `Polling` (default; progress inside blocking calls, like
-/// the non-threaded MPL library) or `Interrupt` (a dispatcher thread makes
-/// progress unbidden, required for `rcvncall`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MplMode {
-    /// Progress only inside MPL calls.
-    Polling,
-    /// Dispatcher thread delivers and matches autonomously.
-    Interrupt,
-}
+/// the non-threaded MPL library) or `Interrupt` (a dispatcher service makes
+/// progress unbidden, required for `rcvncall`). The same mode type LAPI
+/// uses: both run on one progress driver.
+pub use spswitch::progress::Mode as MplMode;
 
 /// Completion status of a receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,20 +39,7 @@ impl SendReq {
 
     /// Block until the send completes (drives progress in polling mode).
     pub fn wait(&self) {
-        match self.engine.mode() {
-            MplMode::Interrupt => self
-                .state
-                .wait_done(self.engine.clock(), self.engine.escape),
-            MplMode::Polling => {
-                let deadline = Instant::now() + self.engine.escape;
-                loop {
-                    if self.state.merge_if_done(self.engine.clock()) {
-                        return;
-                    }
-                    self.engine.poll_step(deadline);
-                }
-            }
-        }
+        self.state.wait(&self.engine)
     }
 }
 
@@ -77,20 +57,7 @@ impl RecvReq {
 
     /// Block until the message is here; returns its data and status.
     pub fn wait(&self) -> (Vec<u8>, Status) {
-        match self.engine.mode() {
-            MplMode::Interrupt => self
-                .state
-                .wait_done(self.engine.clock(), self.engine.escape),
-            MplMode::Polling => {
-                let deadline = Instant::now() + self.engine.escape;
-                loop {
-                    if let Some(r) = self.state.take_if_done(self.engine.clock()) {
-                        return r;
-                    }
-                    self.engine.poll_step(deadline);
-                }
-            }
-        }
+        self.state.wait(&self.engine)
     }
 }
 
@@ -136,9 +103,8 @@ impl MplHandlerCtx<'_> {
 /// One task's MPL context.
 pub struct MplContext {
     pub(crate) engine: Arc<MplEngine>,
-    pub(crate) dispatcher: Option<ServiceHandle>,
     pub(crate) barrier: spsim::VBarrier,
-    pub(crate) exchange: Arc<MplExchange>,
+    pub(crate) exchange: Arc<Exchange>,
 }
 
 impl MplContext {
@@ -184,12 +150,12 @@ impl MplContext {
 
     /// Current progress mode.
     pub fn mode(&self) -> MplMode {
-        self.engine.mode()
+        self.engine.progress.mode()
     }
 
     /// Switch progress mode.
     pub fn set_mode(&self, m: MplMode) {
-        self.engine.set_mode(m)
+        self.engine.progress.set_mode(m)
     }
 
     /// Blocking send: returns when the origin buffer is reusable (eager:
@@ -228,7 +194,7 @@ impl MplContext {
     where
         F: Fn(&MplHandlerCtx<'_>, Vec<u8>, Status) + Send + Sync + 'static,
     {
-        self.engine.set_mode(MplMode::Interrupt);
+        self.engine.progress.set_mode(MplMode::Interrupt);
         let h: RcvncallFn = Arc::new(f);
         let _ = self.engine.post_recv(None, Some(tag), Some(h));
     }
@@ -256,26 +222,16 @@ impl MplContext {
     /// Shut down this task's context (after a final [`MplContext::barrier`]
     /// so no peer still has traffic toward this node in flight).
     pub fn term(&mut self) {
-        if !self.engine.is_terminated() {
-            self.engine.terminate();
-        }
-        if let Some(h) = self.dispatcher.take() {
-            let r = h.join();
-            if !std::thread::panicking() {
-                r.expect("MPL dispatcher thread panicked");
-            }
-        }
+        self.engine.progress.terminate();
+        self.engine.progress.join_services(true);
     }
 }
 
 impl Drop for MplContext {
     fn drop(&mut self) {
-        if !self.engine.is_terminated() {
-            self.engine.terminate();
-        }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
+        // Reap the dispatcher without double-panicking during unwinds.
+        self.engine.progress.terminate();
+        self.engine.progress.join_services(false);
     }
 }
 

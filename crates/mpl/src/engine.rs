@@ -2,27 +2,24 @@
 //! non-overtaking delivery, and `rcvncall` dispatch.
 //!
 //! Like the LAPI engine, one `MplEngine` exists per node and is shared by
-//! the application thread (which drives progress from inside blocking calls
-//! in polling mode) and a dispatcher thread (interrupt mode / `rcvncall`).
-//! All CPU costs are charged to the node's single virtual clock.
+//! the application task (which drives progress from inside blocking calls
+//! in polling mode) and a dispatcher service (interrupt mode / `rcvncall`).
+//! The engine is a [`Protocol`] on the shared [`Progress`] driver, which
+//! owns the mode, the dispatcher and every blocking wait. All CPU costs are
+//! charged to the node's single virtual clock.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use spsim::SimCondvar;
 use spsim::{trace, MachineConfig, NodeId, OrDiag, Stamped, StatCounter, VClock, VTime};
+use spswitch::progress::{Progress, Protocol};
 use spswitch::{Adapter, SendReceipt, WirePacket};
 
 use crate::context::{MplHandlerCtx, MplMode, Status};
 use crate::wire::{MplBody, Seq, Tag};
-
-/// How long polling waits spin on real time per step.
-const POLL_TICK: Duration = Duration::from_millis(2);
-/// How often the parked dispatcher re-checks mode/termination.
-const DISPATCH_TICK: Duration = Duration::from_millis(10);
 
 /// Protocol statistics.
 #[derive(Clone, Debug, Default)]
@@ -81,33 +78,22 @@ impl RecvState {
         self.st.lock().done
     }
 
-    pub(crate) fn take_if_done(&self, clock: &VClock) -> Option<(Vec<u8>, Status)> {
-        let mut st = self.st.lock();
-        if st.done {
-            clock.merge(st.done_at);
-            Some((std::mem::take(&mut st.buf), st.status))
-        } else {
-            None
-        }
-    }
-
-    pub(crate) fn wait_done(&self, clock: &VClock, escape: Duration) -> (Vec<u8>, Status) {
-        let mut st = self.st.lock();
-        let deadline = Instant::now() + escape;
-        // liveness: the dispatcher thread sets st.done and notifies the
-        // cv when the last fragment lands; wait_until escapes past the
-        // real-time deadline into the diagnostic panic below.
-        while !st.done {
-            if self.cv.wait_until(&mut st, deadline).timed_out() {
-                panic!(
-                    "MPL receive never completed — simulated deadlock \
-                     (no matching send, or the sender stopped making progress?)\n{}",
-                    trace::tail_report(trace::REPORT_TAIL)
-                );
-            }
-        }
-        clock.merge(st.done_at);
-        (std::mem::take(&mut st.buf), st.status)
+    /// Block until the message is here (see [`Progress::wait`]).
+    // liveness: finish_recv sets done and notifies the cv when the last
+    // fragment lands.
+    pub(crate) fn wait(&self, engine: &MplEngine) -> (Vec<u8>, Status) {
+        let (buf, status, at) = engine.progress.wait(
+            engine,
+            format_args!("MPL receive"),
+            &self.st,
+            &self.cv,
+            |st| {
+                st.done
+                    .then(|| (std::mem::take(&mut st.buf), st.status, st.done_at))
+            },
+        );
+        engine.clock().merge(at);
+        (buf, status)
     }
 }
 
@@ -143,22 +129,16 @@ impl SendState {
         }
     }
 
-    pub(crate) fn wait_done(&self, clock: &VClock, escape: Duration) {
-        let mut st = self.st.lock();
-        let deadline = Instant::now() + escape;
-        // liveness: the dispatcher thread marks the send complete (CTS
-        // arrival / final ack) and notifies the cv; wait_until escapes
-        // past the real-time deadline into the diagnostic panic below.
-        while !st.0 {
-            if self.cv.wait_until(&mut st, deadline).timed_out() {
-                panic!(
-                    "MPL send never completed (no CTS?) — simulated deadlock \
-                     (rendezvous needs the receiver to post and make progress)\n{}",
-                    trace::tail_report(trace::REPORT_TAIL)
-                );
-            }
-        }
-        clock.merge(st.1);
+    /// Block until the send completes (see [`Progress::wait`]).
+    // liveness: complete() marks the send done and notifies the cv — at
+    // once for eager sends, after the CTS'd injection for rendezvous.
+    pub(crate) fn wait(&self, engine: &MplEngine) {
+        let at = engine
+            .progress
+            .wait(engine, format_args!("MPL send"), &self.st, &self.cv, |st| {
+                st.0.then_some(st.1)
+            });
+        engine.clock().merge(at);
     }
 }
 
@@ -249,65 +229,44 @@ struct MatchState {
 
 /// Per-node MPL machinery.
 pub(crate) struct MplEngine {
-    adapter: Adapter<MplBody>,
     state: Mutex<MatchState>,
-    mode: Mutex<MplMode>,
-    mode_cv: SimCondvar,
     pub(crate) stats: MplStats,
-    pub(crate) escape: Duration,
-    terminated: AtomicBool,
+    pub(crate) progress: Progress<MplBody>,
 }
 
 impl MplEngine {
     pub(crate) fn new(adapter: Adapter<MplBody>, mode: MplMode, escape: Duration) -> Arc<Self> {
         let n = adapter.nodes();
         Arc::new(MplEngine {
-            adapter,
             state: Mutex::new(MatchState {
                 posted: VecDeque::new(),
                 streams: (0..n).map(|_| StreamIn::default()).collect(),
                 send_seq: vec![0; n],
                 rndv_sends: BTreeMap::new(),
             }),
-            mode: Mutex::new(mode),
-            mode_cv: SimCondvar::new(),
             stats: MplStats::default(),
-            escape,
-            terminated: AtomicBool::new(false),
+            progress: Progress::new(adapter, mode, escape),
         })
     }
 
     pub(crate) fn id(&self) -> NodeId {
-        self.adapter.id()
+        self.adapter().id()
     }
 
     pub(crate) fn tasks(&self) -> usize {
-        self.adapter.nodes()
+        self.adapter().nodes()
     }
 
     pub(crate) fn clock(&self) -> &VClock {
-        self.adapter.clock()
+        self.adapter().clock()
     }
 
     pub(crate) fn config(&self) -> &MachineConfig {
-        self.adapter.config()
+        self.adapter().config()
     }
 
     pub(crate) fn adapter(&self) -> &Adapter<MplBody> {
-        &self.adapter
-    }
-
-    pub(crate) fn mode(&self) -> MplMode {
-        *self.mode.lock()
-    }
-
-    pub(crate) fn set_mode(&self, m: MplMode) {
-        *self.mode.lock() = m;
-        self.mode_cv.notify_all();
-    }
-
-    pub(crate) fn is_terminated(&self) -> bool {
-        self.terminated.load(Ordering::Acquire)
+        self.progress.adapter()
     }
 
     /// Emit a trace event on this node's timeline at the current virtual
@@ -315,33 +274,6 @@ impl MplEngine {
     #[inline]
     fn tr(&self, kind: trace::EventKind, detail: &'static str, msg_id: u64, bytes: usize) {
         trace::emit(self.id(), self.clock().now(), kind, detail, msg_id, bytes);
-    }
-
-    /// Diagnostic snapshot for the real-time escape hatches: matching-state
-    /// depths plus the merged trace tail when tracing is enabled.
-    pub(crate) fn deadlock_report(&self, what: &str) -> String {
-        let st = self.state.lock();
-        let pending: Vec<(NodeId, usize, Seq)> = st
-            .streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.msgs.is_empty())
-            .map(|(src, s)| (src, s.msgs.len(), s.contig))
-            .collect();
-        let report = format!(
-            "node {} ({:?} mode): {what}\n\
-             posted receives: {} unmatched inbound (src, msgs, contig): {pending:?}\n\
-             parked rendezvous sends: {} rx-queue depth: {} clock: {}ns\n{}",
-            self.id(),
-            self.mode(),
-            st.posted.len(),
-            st.rndv_sends.len(),
-            self.adapter.rx().len(),
-            self.clock().now().as_ns(),
-            trace::tail_report(trace::REPORT_TAIL)
-        );
-        drop(st);
-        report
     }
 
     // ----------------------------------------------------------- sending
@@ -352,7 +284,7 @@ impl MplEngine {
     /// link outliving the retry bound — is fatal, with the adapter's flow
     /// and trace diagnostics attached.
     fn wire_send(&self, dst: NodeId, wire_bytes: usize, body: MplBody) -> SendReceipt {
-        self.adapter
+        self.adapter()
             .try_send_at(self.clock().now(), dst, wire_bytes, body)
             .unwrap_or_else(|e| {
                 spsim::sim_panic!(
@@ -447,7 +379,7 @@ impl MplEngine {
         }
         let k = frags.len();
         let receipts = self
-            .adapter
+            .adapter()
             .try_send_batch_at(clock.now(), cfg.lapi_pkt_issue, dst, frags)
             .unwrap_or_else(|e| {
                 spsim::sim_panic!(
@@ -820,65 +752,29 @@ impl MplEngine {
             self.finish_recv(st, src, seq, fires);
         }
     }
+}
 
-    /// One polling step (bounded real-time block).
-    // liveness: recv_timeout wakes on every packet the switch delivers to
-    // this node's adapter ring; on silence the POLL_TICK real-time bound
-    // re-arms the wait until `deadline`, then deadlock_report fires — a
-    // dead or non-polling peer cannot park this thread forever.
-    pub(crate) fn poll_step(&self, deadline: Instant) {
-        self.adapter.pump(self.clock().now());
-        match self.adapter.rx().recv_timeout(POLL_TICK) {
-            Ok(Some(s)) => self.process_packet(s),
-            Ok(None) => {
-                if Instant::now() > deadline {
-                    panic!(
-                        "{}",
-                        self.deadlock_report(&format!(
-                            "MPL made no progress for {:?} of real time — simulated deadlock",
-                            self.escape
-                        ))
-                    );
-                }
-            }
-            Err(_) => spsim::sim_panic!("MPL adapter queue closed while waiting for progress"),
-        }
+impl Protocol<MplBody> for MplEngine {
+    fn on_packet(&self, s: Stamped<WirePacket<MplBody>>) {
+        self.process_packet(s)
     }
 
-    /// Interrupt-mode dispatcher loop.
-    pub(crate) fn dispatcher_loop(&self) {
-        // liveness: recv_timeout wakes on every arriving packet and every
-        // DISPATCH_TICK; mode_cv is notified on mode flips; terminate()
-        // closes the rx queue, observed by the re-checks below.
-        loop {
-            if self.is_terminated() {
-                return;
-            }
-            {
-                let mut mode = self.mode.lock();
-                if *mode == MplMode::Polling {
-                    self.mode_cv.wait_for(&mut mode, DISPATCH_TICK);
-                    continue;
-                }
-            }
-            match self.adapter.rx().recv_timeout(DISPATCH_TICK) {
-                Err(_) => return,
-                Ok(None) => continue,
-                Ok(Some(s)) => {
-                    self.clock().merge(s.at);
-                    self.process_packet(s);
-                    while let Ok(Some(next)) = self.adapter.rx().try_recv() {
-                        self.process_packet(next);
-                    }
-                    self.adapter.pump(self.clock().now());
-                }
-            }
-        }
-    }
-
-    pub(crate) fn terminate(&self) {
-        self.terminated.store(true, Ordering::Release);
-        self.adapter.shutdown();
-        self.mode_cv.notify_all();
+    /// Matching-state depths: posted receives, unmatched inbound messages
+    /// per source, parked rendezvous sends.
+    fn report(&self) -> String {
+        let st = self.state.lock();
+        let pending: Vec<(NodeId, usize, Seq)> = st
+            .streams
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.msgs.is_empty())
+            .map(|(src, s)| (src, s.msgs.len(), s.contig))
+            .collect();
+        format!(
+            "posted receives: {} unmatched inbound (src, msgs, contig): {pending:?}\n\
+             parked rendezvous sends: {}\n",
+            st.posted.len(),
+            st.rndv_sends.len(),
+        )
     }
 }

@@ -3,41 +3,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use spsim::{MachineConfig, NodeId, VBarrier, VClock, VDur};
+use spsim::barrier::Exchange;
+use spsim::{MachineConfig, VBarrier, VDur};
 use spswitch::Network;
 
 use crate::context::{MplContext, MplMode};
 use crate::engine::MplEngine;
 use crate::wire::MplBody;
 
-/// Collective u64 exchange board (utility for tests and GA).
-pub(crate) struct MplExchange {
-    slots: Mutex<Vec<u64>>,
-    barrier: VBarrier,
-}
-
-impl MplExchange {
-    fn new(n: usize, cost: VDur) -> Self {
-        MplExchange {
-            slots: Mutex::new(vec![0; n]),
-            barrier: VBarrier::new(n, cost),
-        }
-    }
-
-    pub(crate) fn exchange(&self, clock: &VClock, me: NodeId, value: u64) -> Vec<u64> {
-        self.slots.lock()[me] = value;
-        self.barrier.wait(clock);
-        let out = self.slots.lock().clone();
-        self.barrier.wait(clock);
-        out
-    }
-}
-
-fn barrier_cost(cfg: &MachineConfig, n: usize) -> VDur {
-    let rounds = (usize::BITS - (n.max(2) - 1).leading_zeros()) as u64;
-    (cfg.fabric_latency + VDur::from_us(15)) * rounds
-}
+/// MPL's software cost per barrier round.
+const BARRIER_SW: VDur = VDur::from_us(15);
 
 /// Builder/entry point for an MPL job.
 pub struct MplWorld;
@@ -63,20 +38,21 @@ impl MplWorld {
     ) -> Vec<MplContext> {
         let cfg = Arc::new(cfg);
         let net: Network<MplBody> = Network::new(n, Arc::clone(&cfg), seed);
-        let bcost = barrier_cost(&cfg, n);
+        let bcost = VBarrier::dissemination_cost(&cfg, n, BARRIER_SW);
         let barrier = VBarrier::new(n, bcost);
-        let exchange = Arc::new(MplExchange::new(n, bcost));
+        let exchange = Arc::new(Exchange::new(n, bcost));
         net.into_adapters()
             .into_iter()
             .map(|ad| {
                 let engine = MplEngine::new(ad, mode, escape);
-                let d = Arc::clone(&engine);
-                let dispatcher = spsim::spawn_service(format!("mpl-disp-{}", d.id()), move || {
-                    d.dispatcher_loop()
-                });
+                let e = Arc::clone(&engine);
+                engine
+                    .progress
+                    .start_service(format!("mpl-disp-{}", e.id()), move || {
+                        e.progress.dispatcher_loop(&*e)
+                    });
                 MplContext {
                     engine,
-                    dispatcher: Some(dispatcher),
                     barrier: barrier.clone(),
                     exchange: Arc::clone(&exchange),
                 }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::clock::VClock;
+use crate::config::MachineConfig;
 use crate::sched::SimCondvar;
 use crate::time::{VDur, VTime};
 
@@ -139,6 +140,42 @@ impl VBarrier {
         drop(st);
         clock.merge(release);
         release
+    }
+
+    /// Cost model of a job-wide synchronization over `n` nodes: a
+    /// dissemination barrier pays ~log2(n) rounds, each one fabric latency
+    /// plus the library's per-round `software` cost.
+    pub fn dissemination_cost(cfg: &MachineConfig, n: usize, software: VDur) -> VDur {
+        let rounds = (usize::BITS - (n.max(2) - 1).leading_zeros()) as u64;
+        (cfg.fabric_latency + software) * rounds
+    }
+}
+
+/// Collective u64 exchange board: every participant posts one value and
+/// reads everyone's (the substrate of `LAPI_Address_init`).
+pub struct Exchange {
+    slots: Mutex<Vec<u64>>,
+    barrier: VBarrier,
+}
+
+impl Exchange {
+    /// A board for `n` participants, each crossing charging `cost`.
+    pub fn new(n: usize, cost: VDur) -> Self {
+        Exchange {
+            slots: Mutex::new(vec![0; n]),
+            barrier: VBarrier::new(n, cost),
+        }
+    }
+
+    /// Post `value` as participant `me`; returns every participant's value.
+    pub fn exchange(&self, clock: &VClock, me: usize, value: u64) -> Vec<u64> {
+        self.slots.lock()[me] = value;
+        self.barrier.wait(clock);
+        let out = self.slots.lock().clone();
+        // Second phase keeps a fast next exchange from overwriting slots
+        // before a slow participant has read this round.
+        self.barrier.wait(clock);
+        out
     }
 }
 

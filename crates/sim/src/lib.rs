@@ -25,7 +25,9 @@
 //!   completion-work queue, and the ordering reference the rings are tested
 //!   against.
 //! * [`VBarrier`] — a barrier that aligns the virtual clocks of all
-//!   participants (to the maximum, plus a configurable cost).
+//!   participants (to the maximum, plus a configurable cost), its
+//!   dissemination cost model, and the [`barrier::Exchange`] board both
+//!   libraries collect addresses with.
 //! * [`run_spmd`] — run `n` node tasks executing the same closure
 //!   (single-program-multiple-data, like a parallel job on the SP), with
 //!   panic propagation.
@@ -69,7 +71,7 @@ pub use runtime::{
 };
 pub use sched::{set_worker_cap, yield_now, SimCondvar, SimWaitTimeoutResult};
 pub use spsc::DeliveryRings;
-pub use stats::{Histogram, StatCounter};
+pub use stats::StatCounter;
 pub use time::{VDur, VTime};
 pub use trace::{EventKind, Timeline, TraceEvent, TraceSession, TraceSink};
 

@@ -1,4 +1,4 @@
-//! Lightweight instrumentation: counters and duration histograms.
+//! Lightweight instrumentation: shareable event counters.
 //!
 //! The adapter, LAPI dispatcher, and MPL matching engine all expose
 //! statistics through these types; tests assert on them (e.g. "a lossy run
@@ -7,10 +7,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crate::time::VDur;
 
 /// A shareable monotonically increasing event counter.
 #[derive(Clone, Debug, Default)]
@@ -46,104 +42,6 @@ impl StatCounter {
     }
 }
 
-/// A simple shareable histogram of virtual durations with fixed power-of-two
-/// microsecond buckets (1, 2, 4, ... us), plus exact count/sum/min/max.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    inner: Arc<Mutex<HistInner>>,
-}
-
-#[derive(Debug)]
-struct HistInner {
-    buckets: [u64; 24],
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            inner: Arc::new(Mutex::new(HistInner {
-                buckets: [0; 24],
-                count: 0,
-                sum_ns: 0,
-                min_ns: u64::MAX,
-                max_ns: 0,
-            })),
-        }
-    }
-}
-
-impl Histogram {
-    /// New empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one duration.
-    pub fn record(&self, d: VDur) {
-        let ns = d.as_ns();
-        let us = ns / 1_000;
-        let idx = (64 - us.leading_zeros() as usize).min(23);
-        let mut h = self.inner.lock();
-        h.buckets[idx] += 1;
-        h.count += 1;
-        h.sum_ns += ns as u128;
-        h.min_ns = h.min_ns.min(ns);
-        h.max_ns = h.max_ns.max(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.inner.lock().count
-    }
-
-    /// Mean of recorded samples (zero if empty).
-    pub fn mean(&self) -> VDur {
-        let h = self.inner.lock();
-        if h.count == 0 {
-            VDur::ZERO
-        } else {
-            VDur::from_ns((h.sum_ns / h.count as u128) as u64)
-        }
-    }
-
-    /// Minimum sample (zero if empty).
-    pub fn min(&self) -> VDur {
-        let h = self.inner.lock();
-        if h.count == 0 {
-            VDur::ZERO
-        } else {
-            VDur::from_ns(h.min_ns)
-        }
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> VDur {
-        VDur::from_ns(self.inner.lock().max_ns)
-    }
-
-    /// Approximate quantile from the bucket boundaries (upper bound of the
-    /// bucket containing the q-quantile sample). Good enough for reporting.
-    pub fn quantile_upper_us(&self, q: f64) -> u64 {
-        let h = self.inner.lock();
-        if h.count == 0 {
-            return 0;
-        }
-        let target = ((h.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0;
-        for (i, b) in h.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
-            }
-        }
-        1u64 << 23
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,40 +55,5 @@ mod tests {
         let c2 = c.clone();
         c2.incr();
         assert_eq!(c.get(), 6);
-    }
-
-    #[test]
-    fn histogram_basic_stats() {
-        let h = Histogram::new();
-        h.record(VDur::from_us(10));
-        h.record(VDur::from_us(20));
-        h.record(VDur::from_us(30));
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean(), VDur::from_us(20));
-        assert_eq!(h.min(), VDur::from_us(10));
-        assert_eq!(h.max(), VDur::from_us(30));
-    }
-
-    #[test]
-    fn histogram_empty_is_sane() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), VDur::ZERO);
-        assert_eq!(h.min(), VDur::ZERO);
-        assert_eq!(h.quantile_upper_us(0.5), 0);
-    }
-
-    #[test]
-    fn quantile_is_monotone() {
-        let h = Histogram::new();
-        for us in [1u64, 2, 4, 8, 16, 32, 64, 128] {
-            for _ in 0..10 {
-                h.record(VDur::from_us(us));
-            }
-        }
-        let q50 = h.quantile_upper_us(0.5);
-        let q99 = h.quantile_upper_us(0.99);
-        assert!(q50 <= q99, "{q50} {q99}");
-        assert!(q99 >= 64);
     }
 }

@@ -165,6 +165,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/lapi/src/engine.rs",
     "crates/mpl/src/engine.rs",
     "crates/switch/src/adapter.rs",
+    "crates/switch/src/progress.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/spsc.rs",
 ];

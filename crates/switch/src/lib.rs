@@ -21,8 +21,9 @@
 //!   packets per a seeded [`spsim::FaultPlan`]; an unrecoverable flow
 //!   surfaces as a structured [`DeliveryTimeout`];
 //! * a per-adapter [`spsim::DeliveryRings`] of arrived packets, from which the
-//!   protocol layer (LAPI dispatcher / MPL progress engine) receives in
-//!   arrival-time order.
+//!   protocol layer receives in arrival-time order;
+//! * the [`progress`] driver both libraries run on: polling vs interrupt
+//!   dispatch, the engine services, and the one blocking wait.
 //!
 //! The switch is generic over the packet body type `M`, so the LAPI and MPL
 //! crates each instantiate it with their own wire formats. The switch itself
@@ -34,6 +35,7 @@ pub mod adapter;
 pub mod link;
 pub mod network;
 pub mod packet;
+pub mod progress;
 
 pub use adapter::{Adapter, AdapterStats, DeliveryTimeout, PeerHealth, SendReceipt};
 pub use link::Link;
